@@ -23,10 +23,6 @@ class BitWriter:
             self._out.append((self._acc >> self._n) & 0xFF)
         self._acc &= (1 << self._n) - 1
 
-    @property
-    def bit_length(self):
-        return len(self._out) * 8 + self._n
-
     def getvalue(self) -> bytes:
         """Final bytes, zero-padding the last partial byte."""
         out = bytes(self._out)

@@ -18,111 +18,54 @@ from .xml_tree import BinaryTree
 from .slcf_grammar import Nonterminal, SlcfGrammar
 
 
-class DagBuilder:
-    """Shares subtrees of one tree living inside a grammar arena."""
+def build_dag_grammar(bt: BinaryTree) -> SlcfGrammar:
+    """Share repeated subtrees of ``bt`` and wrap it as its minimal DAG.
 
-    def __init__(self, grammar: SlcfGrammar):
-        self.g = grammar
-        self.table = {}
+    The tree's arena is adopted; ``bt`` must not be used afterwards.
+    """
+    g = SlcfGrammar(bt.tree, bt.terminal_order)
+    t = g.arena
+    # Depth-1 view -> first node seen with it, or its nonterminal once
+    # the view has been seen twice.
+    table = {}
 
-    def _atomic(self, v):
-        return not self.g.arena.children[v]
-
-    def _key(self, v):
-        t = self.g.arena
+    def key(v):
         return (t.labels[v], tuple(t.labels[c] for c in t.children[v]))
 
-    def _replace_by_reference(self, v, nt):
-        """Turn the subtree at v into a bare reference to nt in place."""
-        g = self.g
-        t = g.arena
+    def flat(v):
+        return all(not t.children[c] for c in t.children[v])
+
+    def to_reference(v, nt):
         for c in t.children[v]:
             g.kill_node(c)
         t.children[v] = []
         g.relabel(v, nt)
 
-    def _introduce_production(self, key, first, second):
-        """Second sight of a subtree: share it.
-
-        The first occurrence's node becomes the production's rhs (a fresh
-        reference node takes its place under its parent), then both
-        occurrences are rewritten to references.  The first occurrence's
-        parent may have become shareable by this, so it is offered to the
-        table retroactively (unless it is a production root already, or
-        its key is taken: the first registration wins).
-        """
-        g = self.g
-        t = g.arena
-        nt = g.new_nonterminal(0, is_dag=True)
-
-        p = t.parents[first]
-        assert p != -1, "whole-tree subtree cannot repeat"
-        i = t.pindex[first]
-        ref = g.new_node(nt)
-        t.children[p][i - 1] = ref
-        t.parents[ref] = p
-        t.pindex[ref] = i
-        g.add_production(nt, first)
-
-        self.table[key] = nt
-        self._replace_by_reference(second, nt)
-
-        if t.parents[p] != -1 and all(self._atomic(c) for c in t.children[p]):
-            self.table.setdefault(self._key(p), p)
-        return nt
-
-    def visit(self, v):
-        """share-subtree: called once per node, children-first.
-
-        Leaves stay literal; a node whose children are not all atomic is
-        skipped (its turn comes via the retroactive re-offer above when a
-        child gets shared).
-        """
-        t = self.g.arena
-        if not t.children[v]:
-            return
-        if not all(self._atomic(c) for c in t.children[v]):
-            return
-        key = self._key(v)
-        hit = self.table.get(key)
+    # Children first.  Leaves stay literal; a node with a non-atomic child
+    # is skipped (its turn comes via the retroactive offer below when that
+    # child gets shared).
+    for v in list(t.iter_postorder(bt.root)):
+        if not t.children[v] or not flat(v):
+            continue
+        k = key(v)
+        hit = table.get(k)
         if hit is None:
-            self.table[key] = v
+            table[k] = v
         elif isinstance(hit, Nonterminal):
-            self._replace_by_reference(v, hit)
-        elif hit == v:
-            # v was offered retroactively when a child of it got shared;
-            # nothing new to learn at its own visit.
-            pass
-        else:
-            self._introduce_production(key, hit, v)
-
-
-def collapse_single_refs(g: SlcfGrammar):
-    """Splice every non-start production referenced exactly once.
-
-    Splicing moves nodes without copying, so it never changes the
-    reference count of any other nonterminal; one pass suffices.
-    """
-    for nt_id in [i for i in g.productions if i != g.start_id]:
-        if len(g.refs[nt_id]) == 1:
-            g.eliminate(g.productions[nt_id].nt)
-
-
-def build_dag_grammar(bt: BinaryTree, collapse=True) -> SlcfGrammar:
-    """Share repeated subtrees of ``bt`` and wrap it as a grammar.
-
-    The tree's arena is adopted; ``bt`` must not be used afterwards.  With
-    ``collapse`` the result is the minimal DAG (no singly-referenced
-    productions); replacement still works without it.
-    """
-    g = SlcfGrammar(bt.tree, bt.terminal_order)
-    builder = DagBuilder(g)
-    order = list(bt.tree.iter_postorder(bt.root))
-    for v in order:
-        if bt.tree.labels[v] is not None:
-            builder.visit(v)
+            to_reference(v, hit)
+        elif hit != v:
+            # Second sight: the first occurrence becomes the rhs, both
+            # become references.  Its parent may have become shareable by
+            # this, so it is offered to the table retroactively (unless it
+            # is a production root already, or its view is taken: the
+            # first registration wins).  A node offered that way finds
+            # itself at its own visit and has nothing new to learn.
+            p = t.parents[hit]
+            table[k] = g.share(hit)
+            to_reference(v, table[k])
+            if t.parents[p] != -1 and flat(p):
+                table.setdefault(key(p), p)
     s = g.new_nonterminal(0, is_dag=False)
     g.add_production(s, bt.root, start=True)
-    if collapse:
-        collapse_single_refs(g)
+    g.splice_single_refs()
     return g

@@ -23,14 +23,8 @@ FILESIZE_THRESHOLD = 2
 
 def prune(g: SlcfGrammar, threshold):
     """Prune in place.  ``threshold`` is the sav cutoff (inclusive)."""
-    # Phase 1: singly-referenced productions.  Splicing moves nodes
-    # without copying, so no other reference count changes; one pass over
-    # a snapshot of the order is enough.
-    for nt_id in reversed(g.hierarchical_order()):
-        if nt_id == g.start_id:
-            continue
-        if len(g.refs[nt_id]) == 1:
-            g.eliminate(g.productions[nt_id].nt)
+    # Phase 1: singly-referenced productions.
+    g.splice_single_refs()
 
     # Phase 2: one top-down pass, sav recomputed against the live grammar
     # (earlier eliminations may have raised a later production's use count

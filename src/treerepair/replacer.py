@@ -55,13 +55,8 @@ def _split_shared(g: SlcfGrammar, idx: DigramIndex, X):
         lc = ar.labels[c]
         if isinstance(lc, Nonterminal) and lc.is_dag:
             continue
-        b = g.new_nonterminal(0, is_dag=True)
-        ref = g.new_node(b)
-        ar.children[r][pos] = ref
-        ar.parents[ref] = r
-        ar.pindex[ref] = pos + 1
-        g.add_production(b, c)
-        idx.adopt(c, ref)
+        g.share(c)
+        idx.adopt(c, ar.children[r][pos])
 
 
 def _inline_single(g: SlcfGrammar, idx: DigramIndex, v, j, X):
@@ -73,9 +68,7 @@ def _inline_single(g: SlcfGrammar, idx: DigramIndex, v, j, X):
     prod = g.productions.pop(X.id)
     del g.root_to_prod[prod.root]
     r = prod.root
-    ar.children[v][j - 1] = r
-    ar.parents[r] = v
-    ar.pindex[r] = j
+    ar.put(v, j, r)
     idx.adopt(w, r)
     g.kill_node(w)
     del g.refs[X.id]

@@ -137,16 +137,6 @@ class SlcfGrammar:
             del self.refs[label.id][v]
         self.arena.kill(v)
 
-    def ref(self, nt):
-        """List of (production id, node) references to ``nt``."""
-        out = []
-        for v in self.refs[nt.id]:
-            r = v
-            while self.arena.parents[r] != -1:
-                r = self.arena.parents[r]
-            out.append((self.root_to_prod[r], v))
-        return out
-
     def ref_count(self, nt):
         return len(self.refs[nt.id])
 
@@ -217,7 +207,19 @@ class SlcfGrammar:
             raise GrammarError("grammar is cyclic")
         return order
 
-    # -- elimination ---------------------------------------------------------------
+    # -- sharing and elimination ---------------------------------------------------
+
+    def share(self, v):
+        """Move the subtree at v into a fresh rank-0 DAG production.
+
+        A reference to the new nonterminal takes v's place under its
+        parent (v must not be a production root); v becomes the rhs root.
+        """
+        t = self.arena
+        nt = self.new_nonterminal(0, is_dag=True)
+        t.put(t.parents[v], t.pindex[v], self.new_node(nt))
+        self.add_production(nt, v)
+        return nt
 
     def _substitute_parameters(self, root, args):
         """Replace the i-th preorder parameter leaf under root by args[i].
@@ -233,41 +235,13 @@ class SlcfGrammar:
             v = stack.pop()
             label = t.labels[v]
             if label is PARAMETER:
-                arg = args[n]
+                t.put(t.parents[v], t.pindex[v], args[n])
                 n += 1
-                p = t.parents[v]
-                i = t.pindex[v]
-                t.children[p][i - 1] = arg
-                t.parents[arg] = p
-                t.pindex[arg] = i
                 t.kill(v)
                 continue
             stack.extend(reversed(t.children[v]))
         assert n == len(args)
         return root
-
-    def _copy_rhs(self, root):
-        """Copy a rhs subtree inside the arena, maintaining refs."""
-        t = self.arena
-        new_root = self.new_node(t.labels[root])
-        stack = [(root, new_root)]
-        while stack:
-            src, dup = stack.pop()
-            kids = []
-            for c in t.children[src]:
-                d = self.new_node(t.labels[c])
-                kids.append(d)
-                stack.append((c, d))
-            t.set_children(dup, kids)
-        return new_root
-
-    def _discard_rhs(self, root):
-        t = self.arena
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            stack.extend(t.children[v])
-            self.kill_node(v)
 
     def eliminate(self, nt):
         """Remove a non-start production, substituting its rhs at each use.
@@ -288,7 +262,13 @@ class SlcfGrammar:
             if k == len(ref_nodes) - 1:
                 body = prod.root
             else:
-                body = self._copy_rhs(prod.root)
+                first = len(t)
+                body = t.copy_subtree(prod.root)
+                # Register the copy's references in creation order.
+                for v in range(first, len(t)):
+                    label = t.labels[v]
+                    if isinstance(label, Nonterminal):
+                        self.refs[label.id][v] = None
             self._substitute_parameters(body, args)
             p = t.parents[r]
             if p == -1:
@@ -298,13 +278,21 @@ class SlcfGrammar:
                 self.root_to_prod[body] = owner
                 t.parents[body] = -1
             else:
-                i = t.pindex[r]
-                t.children[p][i - 1] = body
-                t.parents[body] = p
-                t.pindex[body] = i
+                t.put(p, t.pindex[r], body)
             t.labels[r] = None  # refs entry already dropped with the pop
             t.parents[r] = -1
             t.children[r] = []
+
+    def splice_single_refs(self):
+        """Eliminate every non-start production referenced exactly once.
+
+        Splicing moves nodes without copying, so it never changes the
+        reference count of any other nonterminal; one pass in id order
+        suffices.
+        """
+        for nt_id in [i for i in self.productions if i != self.start_id]:
+            if len(self.refs[nt_id]) == 1:
+                self.eliminate(self.productions[nt_id].nt)
 
     # -- derivation --------------------------------------------------------------
 
@@ -369,61 +357,36 @@ class SlcfGrammar:
 
     # -- debug text ----------------------------------------------------------------
 
-    def _symbol_text(self, label):
-        if label is PARAMETER:
-            return "y"
-        if isinstance(label, Nonterminal):
-            return "S" if label.id == self.start_id else "A_%d" % label.id
-        return repr(label)
-
-    def _term_text(self, v):
-        t = self.arena
-        s = self._symbol_text(t.labels[v])
-        if t.children[v]:
-            s += "(" + ",".join(self._term_text(c) for c in t.children[v]) + ")"
-        return s
-
-    def production_text(self, nt_id):
-        prod = self.productions[nt_id]
-        head = self._symbol_text(prod.nt)
-        if prod.nt.rank:
-            head += "(" + ",".join(["y"] * prod.nt.rank) + ")"
-        return "%s -> %s" % (head, self._term_text(prod.root))
-
-    def to_text(self):
-        """One production per line, non-start in id order, start last."""
-        ids = [i for i in sorted(self.productions) if i != self.start_id]
-        ids.append(self.start_id)
-        return "\n".join(self.production_text(i) for i in ids)
-
     def canonical_text(self):
-        """Like to_text but with ids renumbered along the hierarchical
-        order, for comparisons up to nonterminal renaming."""
+        """One production per line, start last, with nonterminals renamed
+        along the hierarchical order, for comparisons up to renaming."""
         order = [i for i in self.hierarchical_order() if i != self.start_id]
         names = {nid: "A_%d" % (k + 1) for k, nid in enumerate(order)}
         names[self.start_id] = "S"
-
-        def sym(label):
-            if label is PARAMETER:
-                return "y"
-            if isinstance(label, Nonterminal):
-                return names[label.id]
-            return repr(label)
-
-        def term(v):
-            t = self.arena
-            s = sym(t.labels[v])
-            if t.children[v]:
-                s += "(" + ",".join(term(c) for c in t.children[v]) + ")"
-            return s
-
+        t = self.arena
         lines = []
         for nid in order + [self.start_id]:
-            prod = self.productions[nid]
-            head = names[nid]
-            if prod.nt.rank:
-                head += "(" + ",".join(["y"] * prod.nt.rank) + ")"
-            lines.append("%s -> %s" % (head, term(prod.root)))
+            rank = self.productions[nid].nt.rank
+            head = names[nid] + ("(" + ",".join(["y"] * rank) + ")" if rank else "")
+            out = [head, " -> "]
+            # Node ids and literal punctuation share one stack.
+            stack = [self.productions[nid].root]
+            while stack:
+                v = stack.pop()
+                if isinstance(v, str):
+                    out.append(v)
+                    continue
+                label = t.labels[v]
+                out.append(names[label.id] if isinstance(label, Nonterminal)
+                           else repr(label))
+                kids = t.children[v]
+                if kids:
+                    out.append("(")
+                    stack.append(")")
+                    for c in reversed(kids[1:]):
+                        stack += (c, ",")
+                    stack.append(kids[0])
+            lines.append("".join(out))
         return "\n".join(lines)
 
     # -- validation (used by tests) ---------------------------------------------

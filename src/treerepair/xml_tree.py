@@ -143,6 +143,12 @@ class Tree:
             parents[c] = v
             pindex[c] = i + 1
 
+    def put(self, p, i, v):
+        """Make v the i-th (1-based) child of p, replacing the old one."""
+        self.children[p][i - 1] = v
+        self.parents[v] = p
+        self.pindex[v] = i
+
     def kill(self, v):
         """Mark a node dead.  Links of dead nodes are meaningless.
 

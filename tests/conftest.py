@@ -3,6 +3,8 @@
 import random
 import sys
 
+# The reference oracles and spec builders in tests/ recurse once per node.
+# The library must not: TestDefaultRecursionLimit checks it at the default.
 sys.setrecursionlimit(60000)
 
 from treerepair.slcf_grammar import PARAMETER, SlcfGrammar

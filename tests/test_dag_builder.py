@@ -1,10 +1,9 @@
 """Subtree sharing (minimal-DAG grammar construction)."""
 
 from treerepair import build_dag_grammar, parse_xml
-from treerepair.dag_builder import collapse_single_refs
 from treerepair.fixtures import gen_perfect_binary
 
-from conftest import BOOKS, random_xml, ranked_bt
+from conftest import BOOKS, make_grammar, random_xml, ranked_bt
 
 BOOKS_DAG_TEXT = (
     "A_1 -> author^01(title^01(isbn^00))\n"
@@ -52,18 +51,30 @@ class TestSharing:
 class TestCollapse:
     SPEC = ("f/2", [("g/1", [("h/2", ["a/0", "b/0"])]), ("g/1", [("h/2", ["a/0", "b/0"])])])
 
-    def test_nested_sharing_without_collapse(self):
-        g = build_dag_grammar(ranked_bt(self.SPEC), collapse=False)
-        assert g.canonical_text() == (
-            "A_1 -> h/2(a/0,b/0)\nA_2 -> g/1(A_1)\nS -> f/2(A_2,A_2)"
-        )
-
     def test_collapse_inlines_singly_referenced_productions(self):
         g = build_dag_grammar(ranked_bt(self.SPEC))
         assert g.canonical_text() == "A_1 -> g/1(h/2(a/0,b/0))\nS -> f/2(A_1,A_1)"
-        g2 = build_dag_grammar(ranked_bt(self.SPEC), collapse=False)
-        collapse_single_refs(g2)
-        assert g2.canonical_text() == g.canonical_text()
+
+    def test_splice_single_refs_moves_nodes_without_copying(self):
+        # D -> C -> B -> A is a chain of single uses: C's rhs is a bare
+        # reference to D, and B has a parameter.  E is used twice.
+        g, nts = make_grammar([
+            ("D", 0, ("f/2", ["a/0", "b/0"])),
+            ("C", 0, "D"),
+            ("B", 1, ("g/2", ["y", "C"])),
+            ("A", 0, ("B", ["c/0"])),
+            ("E", 0, ("e/1", ["a/0"])),
+            ("S", 0, ("s/3", ["A", "E", "E"])),
+        ])
+        want = g.unfold_value()
+        arena_size = len(g.arena)
+        g.splice_single_refs()
+        assert g.canonical_text() == (
+            "A_1 -> e/1(a/0)\nS -> s/3(g/2(c/0,f/2(a/0,b/0)),A_1,A_1)")
+        assert list(g.productions) == [nts["E"].id, nts["S"].id]
+        assert len(g.arena) == arena_size
+        assert g.unfold_value().same_structure(want)
+        g.validate()
 
     def test_value_is_preserved(self):
         for seed in range(25):

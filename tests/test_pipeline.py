@@ -1,18 +1,26 @@
 """End-to-end pipeline: flag combinations, caps, and stage statistics."""
 
+import sys
+
 import pytest
 
 from treerepair import (
+    PARAMETER,
+    ChildrenCharacteristic,
     DecodeError,
+    SlcfGrammar,
+    TerminalSymbol,
+    Tree,
     build_grammar,
     compress_tree,
     compress_xml_bytes,
     decompress_bytes,
     decompress_tree,
+    encode,
     gather_stats,
     parse_xml,
 )
-from treerepair.fixtures import gen_perfect_binary
+from treerepair.fixtures import gen_perfect_binary, gen_U
 
 from conftest import BOOKS, random_xml
 from oracles import binary_shape
@@ -53,6 +61,64 @@ class TestNodeCap:
         blob = compress_xml_bytes(BOOKS)
         with pytest.raises(DecodeError):
             decompress_bytes(blob, node_cap=5)
+
+
+def bare_parameter_stream(root_char):
+    """Stream of S -> B(r(..)), B(y) -> A(y), A(y) -> y: the value's
+    root is r, reached through two parameters."""
+    r = TerminalSymbol("r", root_char)
+    a = TerminalSymbol("a", ChildrenCharacteristic.NO_CHILDREN)
+    g = SlcfGrammar(Tree(), [r, a])
+    A = g.new_nonterminal(1, is_dag=False)
+    g.add_production(A, g.new_node(PARAMETER))
+    B = g.new_nonterminal(1, is_dag=False)
+    b = g.new_node(A)
+    g.arena.set_children(b, [g.new_node(PARAMETER)])
+    g.add_production(B, b)
+    s, top = g.new_node(B), g.new_node(r)
+    g.arena.set_children(top, [g.new_node(a) for _ in range(r.rank)])
+    g.arena.set_children(s, [top])
+    g.add_production(g.new_nonterminal(0, is_dag=False), s, start=True)
+    return encode(g)
+
+
+class TestDerivedRoot:
+    def test_root_is_found_through_parameters(self):
+        blob = bare_parameter_stream(ChildrenCharacteristic.NO_RIGHT_CHILD)
+        assert decompress_bytes(blob) == b"<r><a/></r>"
+
+    @pytest.mark.parametrize("char", [ChildrenCharacteristic.TWO_CHILDREN,
+                                      ChildrenCharacteristic.NO_CHILDREN],
+                             ids=["11", "00"])
+    def test_non_xml_root_is_a_decode_error(self, char):
+        blob = bare_parameter_stream(char)
+        assert decompress_tree(blob).node_count == 1 + char.rank
+        with pytest.raises(DecodeError, match="characteristic"):
+            decompress_bytes(blob)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestDefaultRecursionLimit:
+    def test_deep_grammar_renders(self):
+        text = SlcfGrammar.from_tree(gen_U(12)).canonical_text()
+        assert text.count("f^11") == 2 ** 12
+
+    def test_deep_document_roundtrips(self):
+        depth = 5000
+        data = b"".join(b"<e%d><l/>" % (i % 7) for i in range(depth))
+        data += b"".join(b"</e%d>" % (i % 7) for i in reversed(range(depth)))
+        assert decompress_bytes(compress_xml_bytes(data)) == data
+        assert gather_stats(data)["binary tree edges"] == 2 * depth - 1
 
 
 class TestStats:

@@ -1,5 +1,6 @@
 """Randomized invariants over documents, grammars, and codings."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -190,3 +191,19 @@ class TestStreamRobustness:
         # a rare flip may still yield a well-formed stream for some other
         # tree; what matters is that nothing crashes with a foreign error
         assert survived <= 8 * len(blob)
+
+    def test_mutated_streams_decompress_to_xml_or_fail_cleanly(self):
+        rng = random.Random(2010)
+        blobs = [compress_xml_bytes(BOOKS, max_rank=r, optimize=o, use_dag=d)
+                 for r, o, d in ((4, "filesize", True), (1, "edges", False),
+                                 (None, "edges", True), (2, "filesize", False))]
+        for k in range(2000):
+            victim = bytearray(blobs[k % len(blobs)])
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randrange(8 * len(victim))
+                victim[pos // 8] ^= 1 << (7 - pos % 8)
+            try:
+                out = decompress_bytes(bytes(victim), node_cap=2 ** 16)
+            except DecodeError:
+                continue
+            assert isinstance(out, bytes)
