@@ -19,7 +19,7 @@ from .xml_tree import (
 )
 from .slcf_grammar import PARAMETER, GrammarError, Nonterminal, SlcfGrammar
 from .dag_builder import build_dag_grammar
-from .digram_index import Digram, DigramIndex, build_index, compute_occurrences
+from .digram_index import DigramIndex, build_index, compute_occurrences
 from .replacer import run_replacement_step
 from .pruner import EDGES_THRESHOLD, FILESIZE_THRESHOLD, prune
 from .succinct_coder import DecodeError, EncodeError, encode
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryTree",
     "ChildrenCharacteristic",
-    "Digram",
     "DigramIndex",
     "EDGES_THRESHOLD",
     "FILESIZE_THRESHOLD",

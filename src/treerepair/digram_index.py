@@ -12,12 +12,14 @@ one digram share the child index.
 
 Records are flat as well.  A record is an integer id, equal to its
 creation sequence number, into per-record arrays (list head and tail,
-count).  ``records`` maps a digram key to its id; the key is one integer
-packed from the index's own small ids of the two symbols and the child
-index, so no record holds an object the cyclic garbage collector has to
-track.  Records are never dropped, so a digram that loses every
+``count``).  ``records`` maps a digram key to its id; the key is one
+integer packed from the index's own small ids of the two symbols and the
+child index, so no record holds an object the cyclic garbage collector
+has to track.  Records are never dropped, so a digram that loses every
 occurrence and gains one again keeps its id and with it its place in
-tie-breaking.  A record's digram is read off any edge on its list.
+tie-breaking.  ``pop_most_frequent`` hands out record ids; ``digram(r)``
+and ``head(r)`` read a record's digram and its oldest occurrence off the
+head edge of its list.
 
 Digram priorities live in sqrt(n) frequency buckets plus an unsorted top
 list for frequencies >= sqrt(n) (n = edge count of the input tree).  Only
@@ -51,41 +53,6 @@ END = -2   # no previous / next occurrence (list terminator)
 _BITS = 32
 
 
-class Digram:
-    __slots__ = ("parent", "index", "child", "par")
-
-    def __init__(self, parent, index, child):
-        self.parent = parent
-        self.index = index
-        self.child = child
-        # Rank of the nonterminal replacing this digram.
-        self.par = parent.rank + child.rank - 1
-
-    def __repr__(self):
-        return "(%r,%d,%r)" % (self.parent, self.index, self.child)
-
-
-class _Record:
-    """Read-only view of one index record; ``seq`` is its id."""
-
-    __slots__ = ("_idx", "seq", "digram")
-
-    def __init__(self, idx, seq, digram):
-        self._idx = idx
-        self.seq = seq
-        self.digram = digram
-
-    @property
-    def count(self):
-        return self._idx._count[self.seq]
-
-    @property
-    def head(self):
-        """Parent node of the oldest listed occurrence, or END."""
-        c = self._idx._head[self.seq]
-        return END if c == END else self._idx.g.arena.parents[c]
-
-
 class DigramIndex:
     def __init__(self, grammar: SlcfGrammar, n_edges=None, max_rank=None):
         self.g = grammar
@@ -99,7 +66,7 @@ class DigramIndex:
         self.records = {}  # packed digram key -> record id
         self._head = []
         self._tail = []
-        self._count = []
+        self.count = []
         self._blocked = set()  # records whose par exceeds max_rank
         # Per arena node: the edge from its parent.
         n = len(grammar.arena)
@@ -164,13 +131,6 @@ class DigramIndex:
             return None
         return p << _BITS | q | index
 
-    def record_for(self, parent, index, child):
-        """Record of a digram, or None if it never had an occurrence."""
-        r = self.records.get(self._key(parent, index, child))
-        if r is None:
-            return None
-        return _Record(self, r, Digram(parent, index, child))
-
     # -- list updates ------------------------------------------------------------
 
     def _link(self, v, edges):
@@ -187,7 +147,7 @@ class DigramIndex:
         sid = self._sid
         records = self.records
         slot, nxt, prv = self._slot, self._next, self._prev
-        head, tail, count = self._head, self._tail, self._count
+        head, tail, count = self._head, self._tail, self.count
         max_rank = self.max_rank
         pl = labels[v]
         p = sid.get(pl)
@@ -235,7 +195,7 @@ class DigramIndex:
         """Drop the edges ending in ``nodes`` from their lists (those that
         are on one)."""
         slot, nxt, prv = self._slot, self._next, self._prev
-        head, tail, count = self._head, self._tail, self._count
+        head, tail, count = self._head, self._tail, self.count
         for c in nodes:
             r = slot[c]
             if r == FREE:
@@ -329,7 +289,7 @@ class DigramIndex:
     # -- priority queue --------------------------------------------------------------
 
     def pop_most_frequent(self):
-        """Most frequent replaceable digram record, or None.
+        """Id of the most frequent replaceable digram record, or None.
 
         Buckets and the top list hold exactly the replaceable records (two
         or more occurrences, par within the rank bound), so nothing found
@@ -337,37 +297,42 @@ class DigramIndex:
         ties going to the earliest created (smallest id); inside a bucket
         the longest-resident entry is taken.
         """
-        count = self._count
+        count = self.count
         best = None
         for r in self.top:
             if best is None or count[r] > count[best] or (
                     count[r] == count[best] and r < best):
                 best = r
         if best is not None:
-            return self._view(best)
+            return best
         b = min(self.cursor, self.bucket_limit - 1)
         while b >= 2:
             bucket = self.buckets[b]
             if bucket:
                 self.cursor = b
-                return self._view(next(iter(bucket)))
+                return next(iter(bucket))
             b -= 1
         self.cursor = 1
         return None
 
-    def _view(self, r):
-        """View of a record with a listed occurrence; its digram comes
-        from the head edge."""
+    # -- reading records ---------------------------------------------------------------
+
+    def digram(self, r):
+        """(parent, index, child) of a record with a listed occurrence,
+        read off its head edge."""
         g = self.g
         ar = g.arena
         c = self._head[r]
-        digram = Digram(ar.labels[ar.parents[c]], ar.pindex[c],
-                        g.resolve_label(ar.labels[c]))
-        return _Record(self, r, digram)
+        return (ar.labels[ar.parents[c]], ar.pindex[c],
+                g.resolve_label(ar.labels[c]))
 
-    # -- occurrence listing (tests, tooling) -----------------------------------------
+    def head(self, r):
+        """Parent node of the oldest listed occurrence of record r, which
+        must have one."""
+        return self.g.arena.parents[self._head[r]]
 
     def occurrence_nodes(self, parent, index, child):
+        """Parent nodes of a digram's listed occurrences, oldest first."""
         r = self.records.get(self._key(parent, index, child))
         if r is None:
             return []

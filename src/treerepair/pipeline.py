@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 
-from .xml_tree import (BinaryTree, ChildrenCharacteristic, Tree, parse_xml,
+from .xml_tree import (BinaryTree, ChildrenCharacteristic, parse_xml,
                        serialize_xml, _first_child, _next_sibling)
 from .slcf_grammar import PARAMETER, GrammarError, Nonterminal, SlcfGrammar
 from .dag_builder import build_dag_grammar
@@ -27,12 +27,6 @@ OPTIMIZE_THRESHOLDS = {
     "edges": EDGES_THRESHOLD,
     "filesize": FILESIZE_THRESHOLD,
 }
-
-
-def _copy_binary_tree(bt: BinaryTree) -> BinaryTree:
-    t = Tree()
-    root = bt.tree.copy_subtree(bt.root, into=t)
-    return BinaryTree(t, root, list(bt.terminal_order))
 
 
 def build_grammar(bt: BinaryTree, max_rank=4, optimize="filesize",
@@ -103,38 +97,36 @@ def decompress_bytes(data: bytes, node_cap=DEFAULT_NODE_CAP) -> bytes:
     return serialize_xml(_unfold(_xml_rooted(decode(data)), node_cap))
 
 
-def _unranked_mdag_sizes(bt: BinaryTree):
-    """Node and edge count of the minimal DAG of the unranked element tree.
+def _mdag_sizes(root, kids, label):
+    """Sizes of the minimal DAG of the tree at ``root`` by hash-consing.
 
-    The unranked shape is recovered from the characteristics: a node's
-    children are its first child followed by that child's sibling chain.
+    ``kids(v)`` lists v's children and ``label(v)`` gives its label.
+    Returns the DAG's node count, its edge count and the number of its
+    non-leaf nodes with in-degree two or more (the subtrees a DAG grammar
+    needs a production for).
     """
-    t = bt.tree
-    kids = {}
     order = []
-    stack = [bt.root]
+    stack = [root]
     while stack:
         v = stack.pop()
-        order.append(v)
-        ks = []
-        c = _first_child(t, v)
-        while c != -1:
-            ks.append(c)
-            c = _next_sibling(t, c)
-        kids[v] = ks
+        ks = kids(v)
+        order.append((v, ks))
         stack.extend(ks)
     table = {}
     dag_id = {}
-    n_edges = 0
-    for v in reversed(order):  # children before parents
-        key = (t.labels[v].name, tuple(dag_id[c] for c in kids[v]))
+    indegree = []
+    for v, ks in reversed(order):  # children before parents
+        key = (label(v), tuple(dag_id[c] for c in ks))
         hit = table.get(key)
         if hit is None:
-            hit = len(table)
-            table[key] = hit
-            n_edges += len(key[1])
+            hit = table[key] = len(table)
+            indegree.append(0)
+            for d in key[1]:
+                indegree[d] += 1
         dag_id[v] = hit
-    return len(table), n_edges
+    n_edges = sum(len(ks) for _, ks in table)
+    shared = sum(1 for (_, ks), n in zip(table, indegree) if ks and n >= 2)
+    return len(table), n_edges, shared
 
 
 def gather_stats(data, max_rank=4, optimize="filesize", use_dag=True) -> dict:
@@ -150,13 +142,24 @@ def gather_stats(data, max_rank=4, optimize="filesize", use_dag=True) -> dict:
         "binary tree edges": bt.edge_count,
     }
 
-    mdag = build_dag_grammar(_copy_binary_tree(bt))
-    stats["binary mdag edges"] = mdag.grammar_size()
-    stats["binary mdag nonterminals"] = mdag.nonterminal_count
+    t = bt.tree
+    _, edges, shared = _mdag_sizes(bt.root, t.children.__getitem__,
+                                   t.labels.__getitem__)
+    stats["binary mdag edges"] = edges
+    stats["binary mdag nonterminals"] = 1 + shared  # the start production
 
-    mdag_nodes, mdag_edges = _unranked_mdag_sizes(bt)
-    stats["unranked mdag edges"] = mdag_edges
-    stats["unranked mdag nodes"] = mdag_nodes
+    def element_kids(v):
+        out = []
+        c = _first_child(t, v)
+        while c != -1:
+            out.append(c)
+            c = _next_sibling(t, c)
+        return out
+
+    nodes, edges, _ = _mdag_sizes(bt.root, element_kids,
+                                  lambda v: t.labels[v].name)
+    stats["unranked mdag edges"] = edges
+    stats["unranked mdag nodes"] = nodes
 
     g = build_grammar(bt, max_rank, optimize, use_dag)
     out = encode(g)

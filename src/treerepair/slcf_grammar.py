@@ -269,7 +269,8 @@ class SlcfGrammar:
                     label = t.labels[v]
                     if isinstance(label, Nonterminal):
                         self.refs[label.id][v] = None
-            self._substitute_parameters(body, args)
+            if nt.rank:
+                self._substitute_parameters(body, args)
             p = t.parents[r]
             if p == -1:
                 # rhs root of another production was a bare reference
@@ -279,9 +280,7 @@ class SlcfGrammar:
                 t.parents[body] = -1
             else:
                 t.put(p, t.pindex[r], body)
-            t.labels[r] = None  # refs entry already dropped with the pop
-            t.parents[r] = -1
-            t.children[r] = []
+            t.kill(r)  # its refs entry went with the pop
 
     def splice_single_refs(self):
         """Eliminate every non-start production referenced exactly once.

@@ -34,9 +34,9 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 
-from .bitio import BitReader, BitWriter, BitstreamEnd
-from .xml_tree import ETX, ChildrenCharacteristic, TerminalSymbol
-from .slcf_grammar import PARAMETER, Nonterminal, SlcfGrammar
+from .bitio import BitReader, BitWriter
+from .xml_tree import ETX, ChildrenCharacteristic
+from .slcf_grammar import PARAMETER, SlcfGrammar
 
 FIELD_BITS = 32
 
@@ -225,7 +225,7 @@ def run_length_encode(values, n) -> list:
 
 
 class SymbolIdTable:
-    """Bidirectional symbol/id mapping used by the value sequence.
+    """Symbol ids used by the value sequence.
 
     Terminals get ids 1..|F| in registration order, the formal parameter
     gets |F|+1, and the non-start nonterminals get |F|+2.. in hierarchical
@@ -235,23 +235,13 @@ class SymbolIdTable:
     def __init__(self, terminals, nonterminals):
         self.terminals = list(terminals)
         self.nonterminals = list(nonterminals)
-        self.parameter_id = len(self.terminals) + 1
+        parameter_id = len(self.terminals) + 1
         self.id_of = {}
         for i, sym in enumerate(self.terminals, start=1):
             self.id_of[sym] = i
-        self.id_of[PARAMETER] = self.parameter_id
-        for i, nt in enumerate(self.nonterminals, start=self.parameter_id + 1):
+        self.id_of[PARAMETER] = parameter_id
+        for i, nt in enumerate(self.nonterminals, start=parameter_id + 1):
             self.id_of[nt] = i
-
-    def symbol(self, sid):
-        if 1 <= sid <= len(self.terminals):
-            return self.terminals[sid - 1]
-        if sid == self.parameter_id:
-            return PARAMETER
-        k = sid - self.parameter_id - 1
-        if 0 <= k < len(self.nonterminals):
-            return self.nonterminals[k]
-        return None
 
 
 def assign_ids(grammar: SlcfGrammar) -> SymbolIdTable:

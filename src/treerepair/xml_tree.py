@@ -202,22 +202,18 @@ class Tree:
             stack.extend(zip(ka, kb))
         return True
 
-    def copy_subtree(self, root, into=None):
-        """Copy the subtree at ``root`` into arena ``into`` (default: self).
-
-        Returns the new root id.
-        """
-        dst = self if into is None else into
-        new_root = dst.new_node(self.labels[root])
+    def copy_subtree(self, root):
+        """Copy the subtree at ``root`` to fresh nodes; returns the new root."""
+        new_root = self.new_node(self.labels[root])
         stack = [(root, new_root)]
         while stack:
             src, dup = stack.pop()
             kids = []
             for c in self.children[src]:
-                d = dst.new_node(self.labels[c])
+                d = self.new_node(self.labels[c])
                 kids.append(d)
                 stack.append((c, d))
-            dst.set_children(dup, kids)
+            self.set_children(dup, kids)
         return new_root
 
 

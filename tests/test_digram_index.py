@@ -1,6 +1,10 @@
 """Digram bookkeeping: counts, the priority structure, occurrence lists."""
 
-from treerepair import ChildrenCharacteristic, build_index, compute_occurrences, parse_xml
+import pytest
+
+from treerepair import (ChildrenCharacteristic, build_dag_grammar, build_index,
+                        compute_occurrences, parse_xml, run_replacement_step)
+from treerepair.digram_index import END, FREE
 from treerepair.fixtures import gen_perfect_binary
 from treerepair.replacer import pattern_tree, replace_occurrence
 from treerepair.slcf_grammar import SlcfGrammar
@@ -38,16 +42,15 @@ class TestInitialCounts:
             (cterm("book", "10"), 1, cterm("author", "01")): 1,
         }
         for (parent, i, child), count in expected.items():
-            assert idx.record_for(parent, i, child).count == count, (parent, i, child)
-            assert len(idx.occurrence_nodes(parent, i, child)) == count
+            assert len(idx.occurrence_nodes(parent, i, child)) == count, (
+                parent, i, child)
 
     def test_books_first_pop_takes_the_oldest_tie(self):
         g = SlcfGrammar.from_tree(parse_xml(BOOKS))
         idx = build_index(g)
-        rec = idx.pop_most_frequent()
-        assert (rec.digram.parent, rec.digram.index, rec.digram.child) == (
-            cterm("title", "01"), 1, cterm("isbn", "00"))
-        assert rec.count == 5
+        r = idx.pop_most_frequent()
+        assert idx.digram(r) == (cterm("title", "01"), 1, cterm("isbn", "00"))
+        assert idx.count[r] == 5
 
     def test_pop_falls_back_to_bucket_walk(self):
         # ten edges put the top-list threshold at 3, so the count-2 digram
@@ -57,16 +60,14 @@ class TestInitialCounts:
                      ("p/1", ["q/0"]), ("r/1", ["s/0"]), ("t/1", ["u/0"])])
         ))
         idx = build_index(g)
-        rec = idx.pop_most_frequent()
-        assert (rec.digram.parent, rec.digram.index, rec.digram.child) == (
-            ranked("g/1"), 1, ranked("a/0"))
-        assert rec.count == 2
+        r = idx.pop_most_frequent()
+        assert idx.digram(r) == (ranked("g/1"), 1, ranked("a/0"))
+        assert idx.count[r] == 2
 
     def test_chain_keeps_alternate_occurrences(self):
         g = SlcfGrammar.from_tree(ranked_bt(chain("f/1", 6)))
         idx = build_index(g)
         f = ranked("f/1")
-        assert idx.record_for(f, 1, f).count == 3
         assert len(idx.occurrence_nodes(f, 1, f)) == 3
         assert max_nonoverlapping(g.arena, g.start().root, f, 1, f) == 3
 
@@ -96,15 +97,16 @@ class TestRankBound:
         f, a = cterm("f", "11"), cterm("a", "00")
         g = SlcfGrammar.from_tree(gen_perfect_binary(3))
         idx = build_index(g)
-        assert idx.record_for(f, 1, f).count == 2
+        assert len(idx.occurrence_nodes(f, 1, f)) == 2
         g = SlcfGrammar.from_tree(gen_perfect_binary(3))
         idx = build_index(g, max_rank=1)
-        rec = idx.pop_most_frequent()
+        r = idx.pop_most_frequent()
         # (f,1,f) would need a rank-3 pattern, so the bounded queue only
         # ever offers the leaf digrams
-        assert rec.digram.par <= 1
-        assert (rec.digram.parent, rec.digram.index, rec.digram.child) == (f, 1, a)
-        assert rec.count == 4
+        parent, _, child = idx.digram(r)
+        assert parent.rank + child.rank - 1 <= 1
+        assert idx.digram(r) == (f, 1, a)
+        assert idx.count[r] == 4
 
     def test_pop_is_empty_when_every_repeat_is_over_the_bound(self):
         spec = ("r/3", [
@@ -115,12 +117,12 @@ class TestRankBound:
         g = SlcfGrammar.from_tree(ranked_bt(spec))
         idx = build_index(g, max_rank=2)
         f = ranked("f/2")
-        assert idx.record_for(f, 2, f).count == 3
+        assert len(idx.occurrence_nodes(f, 2, f)) == 3
         assert idx.pop_most_frequent() is None
         g = SlcfGrammar.from_tree(ranked_bt(spec))
         idx = build_index(g)
-        rec = idx.pop_most_frequent()
-        assert (rec.digram.parent, rec.digram.index, rec.digram.child) == (f, 2, f)
+        r = idx.pop_most_frequent()
+        assert idx.digram(r) == (f, 2, f)
 
 
 class TestSharedProductions:
@@ -131,8 +133,6 @@ class TestSharedProductions:
         ], dag={"A"})
         idx = build_index(g)
         f = ranked("f/2")
-        rec = idx.record_for(f, 2, f)
-        assert rec.count == 2
         assert len(idx.occurrence_nodes(f, 2, f)) == 2
         # the flattened tree chains through the shared subtree twice, so the
         # sharing-aware index undercounts against the unfolded optimum
@@ -160,14 +160,73 @@ class TestIncrementalMaintenance:
         idx = build_index(g)
         f, c = ranked("f/2"), ranked("c/0")
         assert len(idx.occurrence_nodes(f, 2, f)) == 1
-        rec = idx.record_for(f, 1, c)
-        assert rec.count == 1
-        a = g.new_nonterminal(rec.digram.par, is_dag=False)
-        g.add_production(a, pattern_tree(g, rec.digram))
-        replace_occurrence(g, idx, rec.head, rec.digram.index, a)
+        [v] = idx.occurrence_nodes(f, 1, c)
+        a = g.new_nonterminal(f.rank + c.rank - 1, is_dag=False)
+        g.add_production(a, pattern_tree(g, f, 1, c))
+        replace_occurrence(g, idx, v, 1, a)
         g.validate()
         # the maintained set is now empty although the rewritten tree
         # still contains one occurrence
         assert idx.occurrence_nodes(f, 2, f) == []
         root = g.start().root
         assert len(compute_occurrences(g.arena, root, f, 2, f)) == 1
+
+
+def check_index(idx, max_rank):
+    """Occurrence lists, counts and queue placement agree with the arena."""
+    g = idx.g
+    ar = g.arena
+    listed = set()
+    for key, r in idx.records.items():
+        entries = []
+        prev, c = END, idx._head[r]
+        while c != END:
+            assert idx._slot[c] == r
+            assert idx._prev[c] == prev
+            entries.append(c)
+            prev, c = c, idx._next[c]
+        assert idx._tail[r] == prev
+        assert len(entries) == idx.count[r]
+        for c in entries:
+            p, i = ar.parents[c], ar.pindex[c]
+            assert ar.labels[c] is not None and p != -1
+            assert ar.children[p][i - 1] == c
+            assert idx._key(ar.labels[p], i, g.resolve_label(ar.labels[c])) == key
+        listed.update(entries)
+    assert listed == {c for c, r in enumerate(idx._slot) if r != FREE}
+
+    limit = idx.bucket_limit
+    placed = [r for b in range(2, limit) for r in idx.buckets[b]] + list(idx.top)
+    assert len(placed) == len(set(placed))
+    want = set()
+    for r in idx.records.values():
+        if idx.count[r] >= 2:
+            parent, _, child = idx.digram(r)
+            if max_rank is None or parent.rank + child.rank - 1 <= max_rank:
+                want.add(r)
+    assert set(placed) == want
+    for b in range(2, limit):
+        assert all(idx.count[r] == b for r in idx.buckets[b])
+    assert all(idx.count[r] >= limit for r in idx.top)
+    assert not any(idx.buckets[b] for b in range(idx.cursor + 1, limit))
+
+
+class TestRunInvariants:
+    @pytest.mark.parametrize("max_rank", [2, None])
+    def test_index_is_consistent_after_every_round(self, max_rank):
+        # At 300 nodes these documents share enough for rounds to meet
+        # both shared and single-use DAG children.
+        rounds = 0
+        for seed in range(40):
+            g = build_dag_grammar(parse_xml(random_xml(seed + 300, 300)))
+            idx = build_index(g, max_rank=max_rank)
+            pop = idx.pop_most_frequent
+
+            def checked_pop():
+                check_index(idx, max_rank)
+                return pop()
+
+            idx.pop_most_frequent = checked_pop
+            rounds += len(run_replacement_step(g, idx))
+            g.validate()
+        assert rounds > 250

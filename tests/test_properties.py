@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treerepair import (
     DecodeError,
+    build_dag_grammar,
     build_grammar,
     compress_xml_bytes,
     compute_occurrences,
@@ -97,6 +98,14 @@ class TestGrammarStages:
         nodes, edges = mdag_counts(element_shape(doc))
         assert stats["unranked mdag nodes"] == nodes
         assert stats["unranked mdag edges"] == edges
+
+    @given(doc=documents)
+    @RELAXED
+    def test_binary_dag_measures_match_dag_grammar(self, doc):
+        stats = gather_stats(doc)
+        g = build_dag_grammar(parse_xml(doc))
+        assert stats["binary mdag edges"] == g.grammar_size()
+        assert stats["binary mdag nonterminals"] == g.nonterminal_count
 
     @given(doc=documents)
     @RELAXED

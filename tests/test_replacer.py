@@ -64,12 +64,12 @@ class TestSharedChild:
             ("S", 0, ("f/2", [("g/2", ["a/0", "A"]), "A"])),
         ], dag={"A"})
         idx = build_index(g)
-        rec = idx.record_for(ranked("f/2"), 2, ranked("h/2"))
-        assert rec.count == 1
-        a = g.new_nonterminal(rec.digram.par, is_dag=False)
+        f, h = ranked("f/2"), ranked("h/2")
+        [v] = idx.occurrence_nodes(f, 2, h)
+        a = g.new_nonterminal(f.rank + h.rank - 1, is_dag=False)
         assert a.rank == 3
-        g.add_production(a, pattern_tree(g, rec.digram))
-        replace_occurrence(g, idx, rec.head, rec.digram.index, a)
+        g.add_production(a, pattern_tree(g, f, 2, h))
+        replace_occurrence(g, idx, v, 2, a)
         assert g.canonical_text() == (
             "A_1(y,y,y) -> f/2(y,h/2(y,y))\n"
             "A_2 -> b/0\n"
@@ -92,11 +92,11 @@ class TestSharedChild:
             ("S", 0, ("f/2", ["A", "c/0"])),
         ], dag={"A"})
         idx = build_index(g)
-        rec = idx.record_for(ranked("f/2"), 1, ranked("g/2"))
-        assert rec.count == 1
-        a = g.new_nonterminal(rec.digram.par, is_dag=False)
-        g.add_production(a, pattern_tree(g, rec.digram))
-        replace_occurrence(g, idx, rec.head, rec.digram.index, a)
+        f, gsym = ranked("f/2"), ranked("g/2")
+        [v] = idx.occurrence_nodes(f, 1, gsym)
+        a = g.new_nonterminal(f.rank + gsym.rank - 1, is_dag=False)
+        g.add_production(a, pattern_tree(g, f, 1, gsym))
+        replace_occurrence(g, idx, v, 1, a)
         assert g.canonical_text() == (
             "A_1(y,y,y) -> f/2(g/2(y,y),y)\nS -> A_1(a/0,b/0,c/0)"
         )

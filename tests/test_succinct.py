@@ -152,9 +152,10 @@ class TestIdAssignment:
     def test_books_symbol_numbering(self):
         g = books_grammar()
         table = assign_ids(g)
+        by_id = {sid: sym for sym, sid in table.id_of.items()}
         names = {}
         for sid in range(1, 7):
-            sym = table.symbol(sid)
+            sym = by_id[sid]
             names[sid] = (sym.name, int(sym.characteristic))
         assert names == {
             1: ("books", 0b10), 2: ("isbn", 0b00), 3: ("title", 0b01),

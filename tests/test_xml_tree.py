@@ -156,10 +156,11 @@ class TestArena:
 
     def test_copy_subtree_is_equal_but_disjoint(self):
         t, root = self._sample()
-        t2 = Tree()
-        new_root = t.copy_subtree(root, into=t2)
-        assert t2.node_count(new_root) == 7
-        assert BinaryTree(t2, new_root, []).same_structure(BinaryTree(t, root, []))
+        n = len(t)
+        new_root = t.copy_subtree(root)
+        assert t.node_count(new_root) == 7
+        assert all(v >= n for v in t.iter_postorder(new_root))
+        assert BinaryTree(t, new_root, []).same_structure(BinaryTree(t, root, []))
 
     def test_same_structure_detects_differences(self):
         t, root = self._sample()
