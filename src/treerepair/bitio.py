@@ -23,6 +23,17 @@ class BitWriter:
             self._out.append((self._acc >> self._n) & 0xFF)
         self._acc &= (1 << self._n) - 1
 
+    def write_bits(self, bits: str):
+        """Append a string of '0' and '1' characters in one conversion."""
+        if bits.strip("01"):
+            raise ValueError("bit string holds a character other than 0 and 1")
+        if self._n:
+            bits = format(self._acc, "0%db" % self._n) + bits
+        value = int(bits or "0", 2)
+        self._n = len(bits) & 7
+        self._out += (value >> self._n).to_bytes(len(bits) >> 3, "big")
+        self._acc = value & ((1 << self._n) - 1)
+
     def getvalue(self) -> bytes:
         """Final bytes, zero-padding the last partial byte."""
         out = bytes(self._out)
@@ -34,28 +45,32 @@ class BitWriter:
 class BitReader:
     def __init__(self, data: bytes):
         self._data = data
+        self._nbits = len(data) * 8
         self._pos = 0  # in bits
 
-    def read(self, nbits) -> int:
-        end = self._pos + nbits
-        if end > len(self._data) * 8:
-            raise BitstreamEnd()
-        value = 0
+    def peek(self, nbits) -> int:
+        """The next ``nbits`` bits without consuming them; bits past the
+        end of the input read as zeros."""
         pos = self._pos
-        data = self._data
-        taken = 0
-        while taken < nbits:
-            byte = data[pos >> 3]
-            offset = pos & 7
-            avail = 8 - offset
-            take = min(avail, nbits - taken)
-            chunk = (byte >> (avail - take)) & ((1 << take) - 1)
-            value = (value << take) | chunk
-            taken += take
-            pos += take
-        self._pos = end
+        end = pos + nbits
+        if end > self._nbits:
+            have = self._nbits - pos
+            return self.peek(have) << (nbits - have)
+        chunk = int.from_bytes(self._data[pos >> 3:(end + 7) >> 3], "big")
+        return (chunk >> (-end & 7)) & ((1 << nbits) - 1)
+
+    def read(self, nbits) -> int:
+        value = self.peek(nbits)
+        self.skip(nbits)
         return value
+
+    def skip(self, nbits):
+        """Consume ``nbits`` bits, or raise BitstreamEnd and consume none
+        if fewer are left."""
+        if self._pos + nbits > self._nbits:
+            raise BitstreamEnd()
+        self._pos += nbits
 
     @property
     def remaining_bits(self):
-        return len(self._data) * 8 - self._pos
+        return self._nbits - self._pos

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import time
 
-from .xml_tree import (BinaryTree, ChildrenCharacteristic, parse_xml,
-                       serialize_xml, _first_child, _next_sibling)
+from .xml_tree import (BinaryTree, ChildrenCharacteristic, element_children,
+                       parse_xml, serialize_xml)
 from .slcf_grammar import PARAMETER, GrammarError, Nonterminal, SlcfGrammar
 from .dag_builder import build_dag_grammar
 from .digram_index import build_index
@@ -148,15 +148,7 @@ def gather_stats(data, max_rank=4, optimize="filesize", use_dag=True) -> dict:
     stats["binary mdag edges"] = edges
     stats["binary mdag nonterminals"] = 1 + shared  # the start production
 
-    def element_kids(v):
-        out = []
-        c = _first_child(t, v)
-        while c != -1:
-            out.append(c)
-            c = _next_sibling(t, c)
-        return out
-
-    nodes, edges, _ = _mdag_sizes(bt.root, element_kids,
+    nodes, edges, _ = _mdag_sizes(bt.root, lambda v: element_children(t, v),
                                   lambda v: t.labels[v].name)
     stats["unranked mdag edges"] = edges
     stats["unranked mdag nodes"] = nodes

@@ -295,45 +295,37 @@ class SlcfGrammar:
 
     # -- derivation --------------------------------------------------------------
 
-    def _parameter_positions(self, root):
-        """Preorder parameter leaves of a rhs."""
-        t = self.arena
-        out = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            if t.labels[v] is PARAMETER:
-                out.append(v)
-                continue
-            stack.extend(reversed(t.children[v]))
-        return out
-
     def unfold_value(self, node_cap=2 ** 31) -> BinaryTree:
         """Derive the grammar's value as a fresh tree.
 
-        ``node_cap`` bounds the output size; exceeding it raises
-        GrammarError instead of exhausting memory.
+        ``node_cap`` bounds the output size; a value larger than that
+        raises GrammarError before any output node exists.  The bound is
+        the SLP length computation: bottom-up, a production's value counts
+        its rhs terminals plus the values of the productions it references
+        (parameters count 0), saturated at ``node_cap + 1``.
         """
         t = self.arena
-        params = {i: self._parameter_positions(p.root)
-                  for i, p in self.productions.items()}
-        param_index = {}
-        for leaves in params.values():
-            for n, v in enumerate(leaves):
-                param_index[v] = n
+        size = {}
+        param_index = {}  # parameter leaf -> its preorder index in its rhs
+        for i in self.hierarchical_order():
+            total = n = 0
+            stack = [self.productions[i].root]
+            while stack:
+                v = stack.pop()
+                label = t.labels[v]
+                if label is PARAMETER:
+                    param_index[v] = n
+                    n += 1
+                    continue
+                total += size[label.id] if isinstance(label, Nonterminal) else 1
+                stack.extend(reversed(t.children[v]))
+            size[i] = min(total, node_cap + 1)
+        if size[self.start_id] > node_cap:
+            raise GrammarError("unfolded value exceeds %d nodes" % node_cap)
 
         out = Tree()
-        made = 0
-
-        def out_node(label):
-            nonlocal made
-            made += 1
-            if made > node_cap:
-                raise GrammarError("unfolded value exceeds %d nodes" % node_cap)
-            return out.new_node(label)
-
         start_root = self.start().root
-        root = out_node(None)
+        root = out.new_node(None)
         # Work items: source node, parameter environment, destination node.
         # The environment maps this rhs's parameter leaves to pending
         # (source node, environment) pairs from the referencing side.
@@ -349,7 +341,7 @@ class SlcfGrammar:
                 stack.append((self.productions[label.id].root, inner_env, dst))
                 continue
             out.labels[dst] = label
-            kids = [out_node(None) for _ in t.children[src]]
+            kids = [out.new_node(None) for _ in t.children[src]]
             out.set_children(dst, kids)
             stack.extend(zip(t.children[src], (env,) * len(kids), kids))
         return BinaryTree(out, root, self.terminal_order)

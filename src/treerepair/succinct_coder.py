@@ -32,13 +32,18 @@ The value sequence is:
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 
-from .bitio import BitReader, BitWriter
+from .bitio import BitReader, BitstreamEnd, BitWriter
 from .xml_tree import ETX, ChildrenCharacteristic
 from .slcf_grammar import PARAMETER, SlcfGrammar
 
 FIELD_BITS = 32
+
+# values per string conversion when writing the value sequence; chunks
+# keep the strings small next to the sequence itself
+WRITE_CHUNK = 4096
 
 # characteristics listed explicitly in the terminal alphabet blocks;
 # TWO_CHILDREN is implied by absence
@@ -128,9 +133,27 @@ def canonical_codes(lengths) -> dict:
 # per-length tables, so an unchecked corrupt length would size allocations.
 MAX_CODE_BITS = 64
 
+# width of the decoder's lookup list: one slot per LOOKUP_BITS-bit prefix
+LOOKUP_BITS = 14
+
+# lookup slot of a prefix that no code word of the lookup width starts;
+# its infinite length fails every remaining-bits check
+_UNASSIGNED = (None, math.inf)
+
 
 class CanonicalDecoder:
-    """Bit-by-bit decoder for a canonical code given its length table."""
+    """Table-driven decoder for a canonical code given its length table.
+
+    ``read`` peeks the next ``w = min(max_len, LOOKUP_BITS)`` bits and looks
+    them up in a list of ``2**w`` slots.  A code word of length l <= w fills
+    the ``2**(w-l)`` slots that start with it with ``(symbol, l)``, so by
+    Kraft the fill costs at most ``2**w`` writes whatever the lengths.
+    Everything else falls back to the canonical first-code-per-length walk
+    (Moffat & Turpin, IEEE Trans. Comm. 1997): code words longer than w,
+    prefixes no code word starts with (incomplete codes) and code words cut
+    off by the end of the input.  Either way the reader ends where a
+    bit-by-bit walk would, and raises the same errors.
+    """
 
     def __init__(self, lengths):
         if not lengths:
@@ -151,16 +174,39 @@ class CanonicalDecoder:
             code <<= 1
             self._first[l] = code
             code += len(by_len[l])
+        width = self._width = min(self.max_len, LOOKUP_BITS)
+        lookup = self._lookup = [_UNASSIGNED] * (1 << width)
+        for l in range(1, width + 1):
+            span = 1 << (width - l)
+            start = self._first[l] << (width - l)
+            for sym in by_len[l]:
+                lookup[start:start + span] = [(sym, l)] * span
+                start += span
 
     def read(self, reader: BitReader):
-        acc = 0
-        for l in range(1, self.max_len + 1):
-            acc = (acc << 1) | reader.read(1)
-            syms = self._syms[l]
-            if syms:
-                d = acc - self._first[l]
-                if 0 <= d < len(syms):
-                    return syms[d]
+        sym, length = self._lookup[reader.peek(self._width)]
+        if length > reader.remaining_bits:
+            return self._read_long(reader)
+        reader.skip(length)
+        return sym
+
+    def _read_long(self, reader: BitReader):
+        """The first-code-per-length walk, for what the lookup cannot settle.
+
+        The lookup has ruled out every code word of up to ``min(w, bits
+        left)`` bits: it found none, or one longer than the input left.
+        So the walk starts past them.
+        """
+        avail = min(self.max_len, reader.remaining_bits)
+        bits = reader.peek(avail)
+        for l in range(min(self._width, avail) + 1, avail + 1):
+            d = (bits >> (avail - l)) - self._first[l]
+            if 0 <= d < len(self._syms[l]):
+                reader.skip(l)
+                return self._syms[l][d]
+        reader.skip(avail)
+        if avail < self.max_len:
+            raise BitstreamEnd()
         raise DecodeError("invalid code word")
 
 
@@ -295,13 +341,17 @@ def encode(grammar: SlcfGrammar) -> bytes:
     table = assign_ids(grammar)
     vals = serialize_values(grammar, table)
 
-    freqs = {'c1': Counter(), 'c2': Counter(), 'c3': Counter()}
+    freqs = {'c1': Counter(), 'c2': Counter(), 'c3': Counter(), 'tag': Counter()}
     for channel, value in vals:
-        if channel != 'tag':
-            freqs[channel][value] += 1
+        freqs[channel][value] += 1
 
     lengths = {ch: huffman_code_lengths(freqs[ch]) for ch in ('c1', 'c2', 'c3')}
-    codes = {ch: canonical_codes(lengths[ch]) for ch in ('c1', 'c2', 'c3')}
+    # each channel's code words as bit strings, to write the value sequence
+    # one string conversion at a time (see WRITE_CHUNK)
+    texts = {ch: {sym: format(code, "0%db" % l)
+                  for sym, (code, l) in canonical_codes(lengths[ch]).items()}
+             for ch in ('c1', 'c2', 'c3')}
+    texts['tag'] = {value: format(value, "02b") for value in freqs['tag']}
     n = max(max(l.values()) for l in lengths.values())
 
     length_tables = [lengths_table(lengths[ch]) for ch in ('c1', 'c2', 'c3')]
@@ -331,9 +381,7 @@ def encode(grammar: SlcfGrammar) -> bytes:
                 w.write(tok[2], tok[1])
             else:
                 w.write(*super_codes[tok])
-    for channel, value in vals:
-        if channel == 'tag':
-            w.write(value, 2)
-        else:
-            w.write(*codes[channel][value])
+    for i in range(0, len(vals), WRITE_CHUNK):
+        w.write_bits("".join([texts[channel][value]
+                              for channel, value in vals[i:i + WRITE_CHUNK]]))
     return w.getvalue()

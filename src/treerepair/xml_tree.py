@@ -346,19 +346,21 @@ def parse_xml(data) -> BinaryTree:
     return BinaryTree(tree, root, order)
 
 
-def _first_child(tree, v):
-    label = tree.labels[v]
-    if label.characteristic.has_first_child:
-        return tree.children[v][0]
-    return -1
+def element_children(tree, v):
+    """v's element children: its first child, then that child's next
+    siblings along the first-child/next-sibling chain.
 
-
-def _next_sibling(tree, v):
-    char = tree.labels[v].characteristic
-    if not char.has_next_sibling:
-        return -1
-    # Rank 1 with only a sibling: the single child is the sibling.
-    return tree.children[v][1] if char.has_first_child else tree.children[v][0]
+    A first child sits in slot 0 and a next sibling in the last slot; the
+    high and the low bit of a label's characteristic say whether each one
+    is there (bit tests, as the enum properties cost a call per node).
+    """
+    labels, children = tree.labels, tree.children
+    if not labels[v].characteristic & 0b10:
+        return []
+    out = [children[v][0]]
+    while labels[out[-1]].characteristic & 0b01:
+        out.append(children[out[-1]][-1])
+    return out
 
 
 def serialize_xml(bt: BinaryTree) -> bytes:
@@ -382,17 +384,12 @@ def serialize_xml(bt: BinaryTree) -> bytes:
         if closing:
             out.append("</%s>" % name)
             continue
-        fc = _first_child(t, v)
-        if fc == -1:
+        kids = element_children(t, v)
+        if not kids:
             out.append("<%s/>" % name)
             continue
         out.append("<%s>" % name)
         stack.append((v, True))
-        chain = []
-        c = fc
-        while c != -1:
-            chain.append(c)
-            c = _next_sibling(t, c)
-        for c in reversed(chain):
+        for c in reversed(kids):
             stack.append((c, False))
     return "".join(out).encode("utf-8")

@@ -9,6 +9,8 @@ import heapq
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+from treerepair.succinct_coder import DecodeError
+
 
 def element_shape(data):
     """Element-only nested shape of an XML document: (tag, [children])."""
@@ -212,3 +214,30 @@ def binary_mdag_edges(shape):
 
     key(shape)
     return sum(table.values())
+
+
+def canonical_read_bitwise(lengths, reader):
+    """Decode one symbol of the canonical code with ``lengths``, bit by bit.
+
+    The textbook walk: one ``reader.read(1)`` per bit, and after each bit a
+    check whether the bits so far are a code word of that length.  Code
+    words of one length are consecutive, starting at the first code of that
+    length.  Raises DecodeError once ``max_len`` bits match nothing.
+    """
+    max_len = max(lengths.values())
+    by_len = [[] for _ in range(max_len + 1)]
+    for sym in sorted(lengths, key=lambda s: (lengths[s], s)):
+        by_len[lengths[sym]].append(sym)
+    first = [0] * (max_len + 1)
+    code = 0
+    for l in range(1, max_len + 1):
+        code <<= 1
+        first[l] = code
+        code += len(by_len[l])
+    acc = 0
+    for l in range(1, max_len + 1):
+        acc = (acc << 1) | reader.read(1)
+        d = acc - first[l]
+        if 0 <= d < len(by_len[l]):
+            return by_len[l][d]
+    raise DecodeError("invalid code word")

@@ -1,6 +1,8 @@
 """End-to-end pipeline: flag combinations, caps, and stage statistics."""
 
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -56,11 +58,53 @@ class TestNodeCap:
         with pytest.raises(DecodeError):
             decompress_tree(blob, node_cap=100)
         assert decompress_tree(blob).node_count == 2 ** 9 - 1
+        # the cap is exact: the value fits at its own size, not one below
+        assert decompress_tree(blob, node_cap=2 ** 9 - 1).node_count == 2 ** 9 - 1
+        with pytest.raises(DecodeError, match="exceeds %d nodes" % (2 ** 9 - 2)):
+            decompress_tree(blob, node_cap=2 ** 9 - 2)
 
     def test_cap_applies_to_bytes_variant(self):
         blob = compress_xml_bytes(BOOKS)
         with pytest.raises(DecodeError):
             decompress_bytes(blob, node_cap=5)
+
+
+def doubling_stream(levels=40):
+    """Stream of A_1 -> a(b, b), A_(i+1) -> a(A_i, A_i), S -> r(A_levels):
+    about 2**(levels + 1) nodes from about a hundred bytes."""
+    r = TerminalSymbol("r", ChildrenCharacteristic.NO_RIGHT_CHILD)
+    a = TerminalSymbol("a", ChildrenCharacteristic.TWO_CHILDREN)
+    b = TerminalSymbol("b", ChildrenCharacteristic.NO_CHILDREN)
+    g = SlcfGrammar(Tree(), [r, a, b])
+    kid = b
+    for _ in range(levels):
+        nt = g.new_nonterminal(0, is_dag=False)
+        top = g.new_node(a)
+        g.arena.set_children(top, [g.new_node(kid), g.new_node(kid)])
+        g.add_production(nt, top)
+        kid = nt
+    s, top = g.new_node(r), g.new_node(kid)
+    g.arena.set_children(s, [top])
+    g.add_production(g.new_nonterminal(0, is_dag=False), s, start=True)
+    return encode(g)
+
+
+class TestValueSizeBound:
+    def test_doubling_grammar_is_rejected_before_unfolding(self):
+        blob = doubling_stream()
+        assert len(blob) < 128
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            for decompress in (decompress_tree, decompress_bytes):
+                with pytest.raises(DecodeError, match="exceeds"):
+                    decompress(blob)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 2 ** 20
 
 
 def bare_parameter_stream(root_char):

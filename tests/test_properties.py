@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treerepair import (
     DecodeError,
+    GrammarError,
     build_dag_grammar,
     build_grammar,
     compress_xml_bytes,
@@ -82,7 +83,11 @@ class TestGrammarStages:
                           optimize=optimize, use_dag=use_dag)
         g.validate()
         assert g.grammar_size() <= n_edges
-        assert binary_shape(g.unfold_value()) == want
+        # the value-size bound is exact: a cap of the node count admits it
+        nodes = before.node_count
+        assert binary_shape(g.unfold_value(node_cap=nodes)) == want
+        with pytest.raises(GrammarError, match="exceeds %d nodes" % (nodes - 1)):
+            g.unfold_value(node_cap=nodes - 1)
 
     @given(doc=documents, max_rank=ranks, optimize=objectives, use_dag=st.booleans())
     @RELAXED

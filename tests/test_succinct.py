@@ -1,12 +1,16 @@
 """Binary coding: Huffman tables, run-length coding, the output format."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treerepair import decode, encode, parse_xml
 from treerepair.pipeline import build_grammar
 from treerepair.succinct_coder import (
     DecodeError,
     EncodeError,
+    LOOKUP_BITS,
     CanonicalDecoder,
     canonical_codes,
     huffman_code_lengths,
@@ -15,11 +19,12 @@ from treerepair.succinct_coder import (
     assign_ids,
     serialize_values,
 )
-from treerepair.bitio import BitReader, BitWriter
+from treerepair.bitio import BitReader, BitstreamEnd, BitWriter
 from treerepair.slcf_grammar import PARAMETER
 
 from conftest import BOOKS, make_grammar, read_header
-from oracles import code_strings, huffman_cost, kraft_sum, prefix_free, rle_expand
+from oracles import (canonical_read_bitwise, code_strings, huffman_cost, kraft_sum,
+                     prefix_free, rle_expand)
 
 
 def books_grammar():
@@ -101,6 +106,134 @@ class TestCanonicalCodes:
             r = BitReader(w.getvalue())
             dec = CanonicalDecoder(lengths)
             assert [dec.read(r) for _ in symbols] == symbols
+
+
+@st.composite
+def prefix_codes(draw):
+    """Length table of a prefix code with lengths 1-20.
+
+    The leaves of a random binary tree give a complete code; splitting the
+    newest leaf again and again grows the long codes.  Dropping leaves
+    gives an incomplete one (Kraft sum below 1).
+    """
+    depths = [1, 1]
+    for _ in range(draw(st.integers(0, 60))):
+        # two splits in three take the newest leaf
+        newest = draw(st.integers(0, 2)) > 0
+        i = len(depths) - 1 if newest else draw(st.integers(0, len(depths) - 1))
+        if depths[i] < 20:
+            d = depths.pop(i)
+            depths += [d + 1, d + 1]
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(depths),
+                             max_size=len(depths)))
+        depths = [d for d, k in zip(depths, keep) if k] or depths[:1]
+    syms = draw(st.lists(st.integers(0, 300), unique=True,
+                         min_size=len(depths), max_size=len(depths)))
+    return dict(zip(syms, depths))
+
+
+def decode_until_error(read, data, skip):
+    """Symbols read after ``skip`` bits until the reader raises, the error
+    (type and message) and the bits left at that point."""
+    reader = BitReader(data)
+    reader.read(skip)
+    out = []
+    try:
+        while True:
+            out.append(read(reader))
+    except (DecodeError, BitstreamEnd) as exc:
+        return out, type(exc), str(exc), reader.remaining_bits
+
+
+class TestTableDecoder:
+    @given(lengths=prefix_codes(), picks=st.lists(st.integers(0, 60), max_size=30),
+           noise=st.lists(st.booleans(), max_size=40),
+           cut=st.one_of(st.none(), st.integers(0, 10 ** 6)), skip=st.integers(0, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_bitwise_walk(self, lengths, picks, noise, cut, skip):
+        """Code words (small picks are the longest ones), then random bits,
+        maybe cut at a random bit: both decoders read the same symbols and
+        stop with the same error at the same bit."""
+        texts = code_strings(canonical_codes(lengths))
+        syms = sorted(texts, key=lambda s: (-lengths[s], s))
+        bits = "1" * skip + "".join(texts[syms[p % len(syms)]] for p in picks)
+        bits += "".join("1" if b else "0" for b in noise)
+        if cut is not None:
+            bits = bits[:skip + cut % (len(bits) - skip + 1)]
+        bits += "0" * (-len(bits) % 8)
+        data = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+        dec = CanonicalDecoder(lengths)
+        got = decode_until_error(dec.read, data, skip)
+        want = decode_until_error(lambda r: canonical_read_bitwise(lengths, r), data, skip)
+        assert got == want
+
+    def test_codes_longer_than_the_lookup_width(self):
+        # lengths 1, 2, ..., 20, 20: a complete code past LOOKUP_BITS
+        lengths = {s: min(s + 1, 20) for s in range(21)}
+        assert max(lengths.values()) > LOOKUP_BITS
+        codes = canonical_codes(lengths)
+        symbols = list(range(21)) * 2
+        random.Random(3).shuffle(symbols)
+        w = BitWriter()
+        for s in symbols:
+            w.write(*codes[s])
+        data = w.getvalue()
+        dec = CanonicalDecoder(lengths)
+        got = decode_until_error(dec.read, data, 0)
+        assert got[0][:len(symbols)] == symbols
+        assert got == decode_until_error(
+            lambda r: canonical_read_bitwise(lengths, r), data, 0)
+
+    def test_unassigned_prefix_is_an_invalid_code_word(self):
+        dec = CanonicalDecoder({5: 1, 6: 2})  # "11" is no code word's prefix
+        r = BitReader(b"\xc0\x00")
+        with pytest.raises(DecodeError, match="invalid code word"):
+            dec.read(r)
+        assert r.remaining_bits == 14
+
+
+def bit_string(data):
+    return "".join(format(b, "08b") for b in data)
+
+
+class TestBitIo:
+    @given(data=st.binary(max_size=10))
+    @settings(max_examples=25, deadline=None)
+    def test_read_and_peek_match_a_bit_string(self, data):
+        bits = bit_string(data)
+        for pos in range(len(bits) + 1):
+            for n in range(65):
+                r = BitReader(data)
+                assert r.read(pos) == int(bits[:pos] or "0", 2)
+                padded = (bits[pos:pos + n] + "0" * n)[:n]
+                assert r.peek(n) == int(padded or "0", 2)
+                assert r.remaining_bits == len(bits) - pos
+                if pos + n > len(bits):
+                    with pytest.raises(BitstreamEnd):
+                        r.read(n)
+                    assert r.remaining_bits == len(bits) - pos
+                else:
+                    assert r.read(n) == int(bits[pos:pos + n] or "0", 2)
+                    assert r.remaining_bits == len(bits) - pos - n
+
+    @given(pieces=st.lists(st.tuples(st.booleans(), st.integers(0, 70),
+                                      st.integers(0, 2 ** 70)), max_size=12))
+    def test_write_bits_matches_write(self, pieces):
+        one, batched = BitWriter(), BitWriter()
+        for as_text, nbits, value in pieces:
+            value &= (1 << nbits) - 1
+            one.write(value, nbits)
+            if as_text:
+                batched.write_bits(format(value, "0%db" % nbits) if nbits else "")
+            else:
+                batched.write(value, nbits)
+        assert batched.getvalue() == one.getvalue()
+
+    def test_write_bits_rejects_other_characters(self):
+        for text in ("012", "0 1", "1_0", "2"):
+            with pytest.raises(ValueError):
+                BitWriter().write_bits(text)
 
 
 class TestRunLength:
