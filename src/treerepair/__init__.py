@@ -15,9 +15,9 @@ from .xml_tree import (
     Tree,
     UnsupportedInputError,
     parse_xml,
-    serialize_xml,
 )
-from .slcf_grammar import PARAMETER, GrammarError, Nonterminal, SlcfGrammar
+from .slcf_grammar import (PARAMETER, GrammarError, Nonterminal, SlcfGrammar,
+                           serialize_xml)
 from .dag_builder import build_dag_grammar
 from .digram_index import DigramIndex, build_index, compute_occurrences
 from .replacer import run_replacement_step

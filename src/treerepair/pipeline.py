@@ -2,16 +2,17 @@
 
 Compression: XML bytes -> binary tree -> (optionally) minimal DAG grammar
 -> digram replacement -> pruning -> succinct bit stream.  Decompression
-inverts the last step and unfolds the grammar back to the tree.
+decodes the grammar; ``decompress_bytes`` then writes the XML straight from
+the grammar, and ``decompress_tree`` unfolds it back to the tree.
 """
 
 from __future__ import annotations
 
 import time
 
-from .xml_tree import (BinaryTree, ChildrenCharacteristic, element_children,
-                       parse_xml, serialize_xml)
-from .slcf_grammar import PARAMETER, GrammarError, Nonterminal, SlcfGrammar
+from .xml_tree import (BinaryTree, UnsupportedInputError, element_children,
+                       parse_xml)
+from .slcf_grammar import GrammarError, SlcfGrammar
 from .dag_builder import build_dag_grammar
 from .digram_index import build_index
 from .replacer import run_replacement_step
@@ -55,46 +56,22 @@ def compress_xml_bytes(data, max_rank=4, optimize="filesize",
     return compress_tree(parse_xml(data), max_rank, optimize, use_dag)
 
 
-def _unfold(g: SlcfGrammar, node_cap) -> BinaryTree:
+def decompress_tree(data: bytes, node_cap=DEFAULT_NODE_CAP) -> BinaryTree:
+    """Compressed stream back to the binary tree, by unfolding the grammar."""
+    g = decode(data)
     try:
         return g.unfold_value(node_cap)
     except GrammarError as exc:
         raise DecodeError(str(exc)) from None
 
 
-def decompress_tree(data: bytes, node_cap=DEFAULT_NODE_CAP) -> BinaryTree:
-    return _unfold(decode(data), node_cap)
-
-
-def _xml_rooted(g: SlcfGrammar) -> SlcfGrammar:
-    """Return g once its value is known to have an XML-origin root.
-
-    The root label is found without unfolding: the walk follows rhs roots
-    into productions.  A parameter met on the way is the first one of its
-    rhs (every node visited lies on the leftmost path of its rhs), so it
-    stands for the first child of the reference that led there.
-    """
-    t = g.arena
-    v, uses = g.start().root, None  # uses: (reference node, outer uses)
-    label = t.labels[v]
-    while label is PARAMETER or isinstance(label, Nonterminal):
-        if label is PARAMETER:
-            ref, uses = uses
-            v = t.children[ref][0]
-        else:
-            uses = (v, uses)
-            v = g.productions[label.id].root
-        label = t.labels[v]
-    if label.characteristic != ChildrenCharacteristic.NO_RIGHT_CHILD:
-        raise DecodeError("derived root has characteristic %s, not an "
-                          "XML-origin tree" % label.characteristic.bits)
-    return g
-
-
 def decompress_bytes(data: bytes, node_cap=DEFAULT_NODE_CAP) -> bytes:
-    """Compressed stream back to XML bytes."""
-    # One expression, so that the grammar is freed before serializing.
-    return serialize_xml(_unfold(_xml_rooted(decode(data)), node_cap))
+    """Compressed stream back to XML bytes, written from the grammar."""
+    g = decode(data)
+    try:
+        return g.write_xml(node_cap)
+    except (GrammarError, UnsupportedInputError) as exc:
+        raise DecodeError(str(exc)) from None
 
 
 def _mdag_sizes(root, kids, label):

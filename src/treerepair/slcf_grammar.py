@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import heapq
 
-from .xml_tree import BinaryTree, Tree
+from .xml_tree import (BinaryTree, ChildrenCharacteristic, TerminalSymbol, Tree,
+                       UnsupportedInputError)
 
 
 class ParameterSymbol:
@@ -295,18 +296,18 @@ class SlcfGrammar:
 
     # -- derivation --------------------------------------------------------------
 
-    def unfold_value(self, node_cap=2 ** 31) -> BinaryTree:
-        """Derive the grammar's value as a fresh tree.
+    def _check_value_size(self, node_cap):
+        """Raise GrammarError unless the value has at most ``node_cap`` nodes.
 
-        ``node_cap`` bounds the output size; a value larger than that
-        raises GrammarError before any output node exists.  The bound is
-        the SLP length computation: bottom-up, a production's value counts
-        its rhs terminals plus the values of the productions it references
-        (parameters count 0), saturated at ``node_cap + 1``.
+        The bound is the SLP length computation: bottom-up, a production's
+        value counts its rhs terminals plus the values of the productions it
+        references (parameters count 0), saturated at ``node_cap + 1``.  The
+        same walk numbers each rhs's parameter leaves in preorder; the map
+        from parameter leaf to that index is returned.
         """
         t = self.arena
         size = {}
-        param_index = {}  # parameter leaf -> its preorder index in its rhs
+        param_index = {}
         for i in self.hierarchical_order():
             total = n = 0
             stack = [self.productions[i].root]
@@ -322,7 +323,16 @@ class SlcfGrammar:
             size[i] = min(total, node_cap + 1)
         if size[self.start_id] > node_cap:
             raise GrammarError("unfolded value exceeds %d nodes" % node_cap)
+        return param_index
 
+    def unfold_value(self, node_cap=2 ** 31) -> BinaryTree:
+        """Derive the grammar's value as a fresh tree.
+
+        ``node_cap`` bounds the output size; a value larger than that
+        raises GrammarError before any output node exists.
+        """
+        t = self.arena
+        param_index = self._check_value_size(node_cap)
         out = Tree()
         start_root = self.start().root
         root = out.new_node(None)
@@ -345,6 +355,19 @@ class SlcfGrammar:
             out.set_children(dst, kids)
             stack.extend(zip(t.children[src], (env,) * len(kids), kids))
         return BinaryTree(out, root, self.terminal_order)
+
+    def write_xml(self, node_cap=2 ** 31) -> bytes:
+        """The value's XML document, written from the grammar without
+        unfolding it.
+
+        ``node_cap`` bounds the value's size as in :meth:`unfold_value`,
+        and a value larger than that raises GrammarError before any tag is
+        written.  A value whose root is not an XML-origin root raises
+        UnsupportedInputError.
+        """
+        param_index = self._check_value_size(node_cap)
+        rhs_roots = {i: p.root for i, p in self.productions.items()}
+        return _write_tags(self.arena, self.start().root, rhs_roots, param_index)
 
     # -- debug text ----------------------------------------------------------------
 
@@ -411,3 +434,87 @@ class SlcfGrammar:
             else:
                 assert seen_refs[i] == 0
         self.hierarchical_order()  # raises if cyclic
+
+
+class _Tags(dict):
+    """Terminal -> (characteristic bits, tag, close tag), built once per
+    terminal: ``<name>`` and ``</name>`` for a terminal with a first child,
+    ``<name/>`` and None for one without."""
+
+    def __missing__(self, sym):
+        name = sym.name
+        bits = int(sym.characteristic)
+        if bits & 0b10:
+            tags = (bits, "<%s>" % name, "</%s>" % name)
+        else:
+            tags = (bits, "<%s/>" % name, None)
+        self[sym] = tags
+        return tags
+
+
+def _write_tags(arena, root, rhs_roots, param_index) -> bytes:
+    """XML of the value derived from ``root``, in one walk over the rhs nodes.
+
+    This is traversal of an SLCF grammar's value without decompressing it
+    (Busatto, Lohrey & Maneth, *Efficient memory representation of XML
+    document trees*, Information Systems 2008).  The first-child/next-sibling
+    preorder is document order: a node with a first child writes its open
+    tag, its first child's chain follows, then its close tag, then its next
+    sibling; a node without one writes an empty tag and goes on to its next
+    sibling.  Work items are ``unfold_value``'s (rhs node, parameter
+    environment) pairs; close tags wait on the same stack as shared strings.
+    ``rhs_roots`` (nonterminal id -> rhs root) and ``param_index`` are only
+    read at references and parameters, which a plain tree has none of.
+    """
+    labels, children = arena.labels, arena.children
+    tags = _Tags()
+    out = []
+    emit = out.append
+    stack = [(root, None)]
+    push, pop = stack.append, stack.pop
+    at_root = True
+    while stack:
+        item = pop()
+        if item.__class__ is str:
+            emit(item)
+            continue
+        v, env = item
+        while True:
+            label = labels[v]
+            while label.__class__ is not TerminalSymbol:
+                if label is PARAMETER:
+                    v, env = env[param_index[v]]
+                else:
+                    kids = children[v]
+                    if kids:  # a rank-0 rhs has no parameters to look up
+                        env = [(c, env) for c in kids]
+                    v = rhs_roots[label.id]
+                label = labels[v]
+            bits, tag, close_tag = tags[label]
+            if at_root:
+                if bits != ChildrenCharacteristic.NO_RIGHT_CHILD:
+                    raise UnsupportedInputError(
+                        "derived root has characteristic %s, not an "
+                        "XML-origin tree" % label.characteristic.bits)
+                at_root = False
+            emit(tag)
+            if bits & 0b10:
+                if bits & 0b01:
+                    push((children[v][1], env))
+                push(close_tag)
+            elif not bits:
+                break
+            v = children[v][0]
+    # str.join, not bytes.join: the latter holds a buffer view per item.
+    return "".join(out).encode("utf-8")
+
+
+def serialize_xml(bt: BinaryTree) -> bytes:
+    """Invert the first-child/next-sibling encoding back to XML bytes.
+
+    A tree is a grammar without references, so this is the grammar
+    writer's walk over the tree itself.  Only valid for trees whose
+    characteristics are consistent with an XML origin: a root without
+    characteristic 10 raises UnsupportedInputError.
+    """
+    return _write_tags(bt.tree, bt.root, None, None)

@@ -12,42 +12,50 @@ from .slcf_grammar import PARAMETER, SlcfGrammar
 from .succinct_coder import FIELD_BITS, MAX_CODE_BITS, CanonicalDecoder, DecodeError
 
 
-def run_length_decode(reader, super_decoder, n, expected) -> list:
+def run_length_decode(reader, super_decoder, n, expected) -> dict:
     """Decode one run-length encoded length table of ``expected`` entries.
 
     Values above ``n`` are run indicators: an n+1 token plus a 2-bit count c
     stands for c+4 copies of the preceding value, the first token of a run
     absorbing the explicit sample written before it; n+2 plus 3 bits c is a
     run of c+4 zeros; n+3 plus 7 bits c is a run of c+12 zeros.
+
+    Returns the table's nonzero entries as ``{symbol: length}``.  Zeros
+    only advance the position, so memory follows the tokens read, not the
+    table size the stream claims.
     """
-    out = []
+    lengths = {}
+    i = 0
     last = None
     first_unit = True
-    while len(out) < expected:
+    while i < expected:
         tok = super_decoder.read(reader)
         if tok <= n:
-            out.append(tok)
+            if tok:
+                lengths[i] = tok
+            i += 1
             last = tok
             first_unit = True
         elif tok == n + 1:
             if last is None:
                 raise DecodeError("run continuation without a sample value")
-            c = reader.read(2)
-            out.extend([last] * (c + 3 if first_unit else c + 4))
+            k = reader.read(2) + (3 if first_unit else 4)
+            if last:
+                for j in range(i, i + k):
+                    lengths[j] = last
+            i += k
             first_unit = False
         elif tok == n + 2:
-            c = reader.read(3)
-            out.extend([0] * (c + 4))
+            i += reader.read(3) + 4
             last = None
             first_unit = True
         else:
-            c = reader.read(7)
-            out.extend([0] * (c + 12))
+            i += reader.read(7) + 12
             last = None
             first_unit = True
-    if len(out) != expected:
+    if i != expected:
         raise DecodeError("run-length data overruns its table")
-    return out
+    return lengths
 
 
 class _PendingNode:
@@ -129,9 +137,8 @@ def _decode(reader) -> SlcfGrammar:
         # every run token yields at most 139 entries from >= 1 input bit
         if count > 139 * max(reader.remaining_bits, 1):
             raise DecodeError("length table larger than the input allows")
-        table = run_length_decode(reader, super_decoder, n, count)
-        lengths = {sym: l for sym, l in enumerate(table) if l}
-        decoders.append(CanonicalDecoder(lengths))
+        decoders.append(CanonicalDecoder(
+            run_length_decode(reader, super_decoder, n, count)))
     c1, c2, c3 = decoders
 
     def read_c2():

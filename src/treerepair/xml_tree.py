@@ -361,35 +361,3 @@ def element_children(tree, v):
     while labels[out[-1]].characteristic & 0b01:
         out.append(children[out[-1]][-1])
     return out
-
-
-def serialize_xml(bt: BinaryTree) -> bytes:
-    """Invert the first-child/next-sibling encoding back to XML bytes.
-
-    Only valid for trees whose characteristics are consistent with an XML
-    origin (in particular the root must have characteristic 10).
-    """
-    t = bt.tree
-    root_label = t.labels[bt.root]
-    if root_label.characteristic != ChildrenCharacteristic.NO_RIGHT_CHILD:
-        raise UnsupportedInputError(
-            "root has characteristic %s, not an XML-origin tree"
-            % root_label.characteristic.bits)
-
-    out = []
-    stack = [(bt.root, False)]
-    while stack:
-        v, closing = stack.pop()
-        name = t.labels[v].name
-        if closing:
-            out.append("</%s>" % name)
-            continue
-        kids = element_children(t, v)
-        if not kids:
-            out.append("<%s/>" % name)
-            continue
-        out.append("<%s>" % name)
-        stack.append((v, True))
-        for c in reversed(kids):
-            stack.append((c, False))
-    return "".join(out).encode("utf-8")

@@ -131,5 +131,6 @@ def read_header(blob):
     tables = []
     for _ in range(3):
         count = r.read(32)
-        tables.append((count, run_length_decode(r, dec, super_count - 4, count)))
+        lengths = run_length_decode(r, dec, super_count - 4, count)
+        tables.append((count, [lengths.get(s, 0) for s in range(count)]))
     return n_s, super_count, super_lengths, tables, r

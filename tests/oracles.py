@@ -9,7 +9,8 @@ import heapq
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-from treerepair.succinct_coder import DecodeError
+from treerepair import (PARAMETER, ChildrenCharacteristic, DecodeError, Nonterminal,
+                        decode, decompress_tree, serialize_xml)
 
 
 def element_shape(data):
@@ -216,13 +217,15 @@ def binary_mdag_edges(shape):
     return sum(table.values())
 
 
-def canonical_read_bitwise(lengths, reader):
-    """Decode one symbol of the canonical code with ``lengths``, bit by bit.
+def bitwise_reader(lengths):
+    """Bit-by-bit decoder of the canonical code with ``lengths``.
 
     The textbook walk: one ``reader.read(1)`` per bit, and after each bit a
     check whether the bits so far are a code word of that length.  Code
     words of one length are consecutive, starting at the first code of that
-    length.  Raises DecodeError once ``max_len`` bits match nothing.
+    length.  The tables are built once; the returned ``read(reader)``
+    decodes one symbol and raises DecodeError once ``max_len`` bits match
+    nothing.
     """
     max_len = max(lengths.values())
     by_len = [[] for _ in range(max_len + 1)]
@@ -234,10 +237,83 @@ def canonical_read_bitwise(lengths, reader):
         code <<= 1
         first[l] = code
         code += len(by_len[l])
-    acc = 0
-    for l in range(1, max_len + 1):
-        acc = (acc << 1) | reader.read(1)
-        d = acc - first[l]
-        if 0 <= d < len(by_len[l]):
-            return by_len[l][d]
-    raise DecodeError("invalid code word")
+
+    def read(reader):
+        acc = 0
+        for l in range(1, max_len + 1):
+            acc = (acc << 1) | reader.read(1)
+            d = acc - first[l]
+            if 0 <= d < len(by_len[l]):
+                return by_len[l][d]
+        raise DecodeError("invalid code word")
+
+    return read
+
+
+def run_length_decode_dense(reader, super_decoder, n, expected):
+    """The length table as a list of all ``expected`` entries, zeros too.
+
+    Same token grammar and errors as ``succinct_decoder.run_length_decode``,
+    which keeps only the nonzero entries.
+    """
+    out = []
+    last = None
+    first_unit = True
+    while len(out) < expected:
+        tok = super_decoder.read(reader)
+        if tok <= n:
+            out.append(tok)
+            last = tok
+            first_unit = True
+        elif tok == n + 1:
+            if last is None:
+                raise DecodeError("run continuation without a sample value")
+            c = reader.read(2)
+            out.extend([last] * (c + 3 if first_unit else c + 4))
+            first_unit = False
+        elif tok == n + 2:
+            c = reader.read(3)
+            out.extend([0] * (c + 4))
+            last = None
+            first_unit = True
+        else:
+            c = reader.read(7)
+            out.extend([0] * (c + 12))
+            last = None
+            first_unit = True
+    if len(out) != expected:
+        raise DecodeError("run-length data overruns its table")
+    return out
+
+
+def _xml_rooted(g):
+    """Raise DecodeError unless g's value has an XML-origin root.
+
+    The root label is found without unfolding: the walk follows rhs roots
+    into productions.  A parameter met on the way is the first one of its
+    rhs (every node visited lies on the leftmost path of its rhs), so it
+    stands for the first child of the reference that led there.
+    """
+    t = g.arena
+    v, uses = g.start().root, None  # uses: (reference node, outer uses)
+    label = t.labels[v]
+    while label is PARAMETER or isinstance(label, Nonterminal):
+        if label is PARAMETER:
+            ref, uses = uses
+            v = t.children[ref][0]
+        else:
+            uses = (v, uses)
+            v = g.productions[label.id].root
+        label = t.labels[v]
+    if label.characteristic != ChildrenCharacteristic.NO_RIGHT_CHILD:
+        raise DecodeError("derived root has characteristic %s, not an "
+                          "XML-origin tree" % label.characteristic.bits)
+
+
+def decompress_bytes_by_unfolding(blob, node_cap):
+    """XML bytes of a stream the long way: the size bound and the unfolded
+    tree from ``decompress_tree``, the root walk over the decoded grammar,
+    then ``serialize_xml`` of the tree."""
+    bt = decompress_tree(blob, node_cap)
+    _xml_rooted(decode(blob))
+    return serialize_xml(bt)

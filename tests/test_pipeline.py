@@ -67,6 +67,10 @@ class TestNodeCap:
         blob = compress_xml_bytes(BOOKS)
         with pytest.raises(DecodeError):
             decompress_bytes(blob, node_cap=5)
+        # exact as for the tree: BOOKS has 21 elements
+        assert decompress_bytes(blob, node_cap=21) == BOOKS
+        with pytest.raises(DecodeError, match="exceeds 20 nodes"):
+            decompress_bytes(blob, node_cap=20)
 
 
 def doubling_stream(levels=40):

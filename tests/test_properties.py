@@ -21,18 +21,21 @@ from treerepair import (
     parse_xml,
     serialize_xml,
 )
-from treerepair.bitio import BitReader, BitWriter
+from treerepair.bitio import BitReader, BitstreamEnd, BitWriter
+from treerepair.pipeline import DEFAULT_NODE_CAP
 from treerepair.succinct_coder import (
     CanonicalDecoder,
     canonical_codes,
     huffman_code_lengths,
     run_length_encode,
 )
+from treerepair.succinct_decoder import run_length_decode
 
-from conftest import BOOKS, shape_to_xml
+from conftest import BOOKS, random_xml, shape_to_xml
 from oracles import (
     binary_shape,
     code_strings,
+    decompress_bytes_by_unfolding,
     element_shape,
     fcns_shape,
     huffman_cost,
@@ -41,6 +44,7 @@ from oracles import (
     mdag_counts,
     prefix_free,
     rle_expand,
+    run_length_decode_dense,
 )
 
 TAGS = st.sampled_from(["a", "b", "c", "d", "item"])
@@ -56,6 +60,8 @@ documents = st.lists(shapes, min_size=1, max_size=4).map(
 
 ranks = st.sampled_from([1, 2, 4, None])
 objectives = st.sampled_from(["edges", "filesize"])
+ALL_FLAGS = [(r, o, d) for r in (1, 2, 4, None) for o in ("edges", "filesize")
+             for d in (True, False)]
 
 RELAXED = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -95,6 +101,16 @@ class TestGrammarStages:
         blob = compress_xml_bytes(doc, max_rank=max_rank,
                                   optimize=optimize, use_dag=use_dag)
         assert decompress_bytes(blob) == doc
+
+    @given(doc=documents)
+    @RELAXED
+    def test_writer_matches_the_unfolding_path(self, doc):
+        for max_rank, optimize, use_dag in ALL_FLAGS:
+            blob = compress_xml_bytes(doc, max_rank=max_rank,
+                                      optimize=optimize, use_dag=use_dag)
+            want = decompress_bytes_by_unfolding(blob, DEFAULT_NODE_CAP)
+            assert want == doc
+            assert decompress_bytes(blob) == want
 
     @given(doc=documents)
     @RELAXED
@@ -173,6 +189,51 @@ class TestCodings:
         dec = CanonicalDecoder(lengths)
         assert [dec.read(r) for _ in symbols] == symbols
 
+    @given(case=rle_cases(), cut=st.integers(0, 400))
+    @RELAXED
+    def test_sparse_run_length_decoding_matches_dense(self, case, cut):
+        """Tables written by run_length_encode, read back in full and with
+        a table size cut short: the sparse decoder keeps exactly the dense
+        table's nonzero entries, and fails alike."""
+        n, values = case
+        codes = canonical_codes(huffman_code_lengths({s: 1 for s in range(n + 4)}))
+        w = BitWriter()
+        for tok in run_length_encode(values, n):
+            if isinstance(tok, tuple):
+                w.write(tok[2], tok[1])
+            else:
+                w.write(*codes[tok])
+        data = w.getvalue()
+        sparse, dense = self._run_length_both_ways(data, n, len(values))
+        assert sparse == dense
+        assert sparse[0] == ("ok", {i: v for i, v in enumerate(values) if v})
+        short = self._run_length_both_ways(data, n, min(cut, len(values)))
+        assert short[0] == short[1]
+
+    @given(n=st.integers(4, 12), data=st.binary(max_size=40), expected=st.integers(0, 300))
+    @RELAXED
+    def test_sparse_run_length_decoding_matches_dense_on_any_bits(self, n, data, expected):
+        sparse, dense = self._run_length_both_ways(data, n, expected)
+        assert sparse == dense
+
+    @staticmethod
+    def _run_length_both_ways(data, n, expected):
+        """(outcome, bits left) of the sparse and the dense decoder; the
+        outcome is the nonzero entries or the error's type and message."""
+        decoder = CanonicalDecoder(huffman_code_lengths({s: 1 for s in range(n + 4)}))
+        results = []
+        for decode_table in (run_length_decode, run_length_decode_dense):
+            reader = BitReader(data)
+            try:
+                table = decode_table(reader, decoder, n, expected)
+            except (DecodeError, BitstreamEnd) as exc:
+                results.append(((type(exc), str(exc)), reader.remaining_bits))
+                continue
+            if isinstance(table, list):
+                table = {i: v for i, v in enumerate(table) if v}
+            results.append((("ok", table), reader.remaining_bits))
+        return tuple(results)
+
     @given(doc=documents, max_rank=ranks, use_dag=st.booleans())
     @RELAXED
     def test_reencoding_a_decoded_stream_is_identity(self, doc, max_rank, use_dag):
@@ -221,3 +282,26 @@ class TestStreamRobustness:
             except DecodeError:
                 continue
             assert isinstance(out, bytes)
+
+    def test_mutants_give_the_same_result_on_both_paths(self):
+        """Writing from the grammar and unfolding then serializing agree on
+        every mutant: the same bytes or the same DecodeError message."""
+        rng = random.Random(2011)
+        docs = (BOOKS, random_xml(5, max_nodes=200))
+        blobs = [compress_xml_bytes(doc, max_rank=r, use_dag=d)
+                 for doc in docs for r, d in ((None, True), (1, False), (4, True))]
+        outcomes = set()
+        for k in range(1200):
+            victim = bytearray(blobs[k % len(blobs)])
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randrange(8 * len(victim))
+                victim[pos // 8] ^= 1 << (7 - pos % 8)
+            results = []
+            for decompress in (decompress_bytes, decompress_bytes_by_unfolding):
+                try:
+                    results.append(decompress(bytes(victim), 2 ** 16))
+                except DecodeError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+            outcomes.add(type(results[0]))
+        assert outcomes == {bytes, str}

@@ -1,6 +1,8 @@
 """Binary coding: Huffman tables, run-length coding, the output format."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from treerepair.bitio import BitReader, BitstreamEnd, BitWriter
 from treerepair.slcf_grammar import PARAMETER
 
 from conftest import BOOKS, make_grammar, read_header
-from oracles import (canonical_read_bitwise, code_strings, huffman_cost, kraft_sum,
+from oracles import (bitwise_reader, code_strings, huffman_cost, kraft_sum,
                      prefix_free, rle_expand)
 
 
@@ -114,22 +116,22 @@ def prefix_codes(draw):
 
     The leaves of a random binary tree give a complete code; splitting the
     newest leaf again and again grows the long codes.  Dropping leaves
-    gives an incomplete one (Kraft sum below 1).
+    gives an incomplete one (Kraft sum below 1).  The splits, the dropped
+    leaves and the symbols come from a few draws of fixed strategies, so
+    that shrinking a failure has few choices to work through.
     """
     depths = [1, 1]
-    for _ in range(draw(st.integers(0, 60))):
+    splits = draw(st.integers(0, 60))
+    for pick in draw(st.lists(st.integers(0, 2 ** 12), min_size=splits,
+                              max_size=splits)):
         # two splits in three take the newest leaf
-        newest = draw(st.integers(0, 2)) > 0
-        i = len(depths) - 1 if newest else draw(st.integers(0, len(depths) - 1))
+        i = len(depths) - 1 if pick % 3 else pick // 3 % len(depths)
         if depths[i] < 20:
             d = depths.pop(i)
             depths += [d + 1, d + 1]
-    if draw(st.booleans()):
-        keep = draw(st.lists(st.booleans(), min_size=len(depths),
-                             max_size=len(depths)))
-        depths = [d for d, k in zip(depths, keep) if k] or depths[:1]
-    syms = draw(st.lists(st.integers(0, 300), unique=True,
-                         min_size=len(depths), max_size=len(depths)))
+    drop = draw(st.integers(0, 2 ** len(depths) - 1)) if draw(st.booleans()) else 0
+    depths = [d for k, d in enumerate(depths) if not drop >> k & 1] or depths[:1]
+    syms = draw(st.randoms(use_true_random=True)).sample(range(301), len(depths))
     return dict(zip(syms, depths))
 
 
@@ -165,7 +167,7 @@ class TestTableDecoder:
         data = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
         dec = CanonicalDecoder(lengths)
         got = decode_until_error(dec.read, data, skip)
-        want = decode_until_error(lambda r: canonical_read_bitwise(lengths, r), data, skip)
+        want = decode_until_error(bitwise_reader(lengths), data, skip)
         assert got == want
 
     def test_codes_longer_than_the_lookup_width(self):
@@ -182,8 +184,7 @@ class TestTableDecoder:
         dec = CanonicalDecoder(lengths)
         got = decode_until_error(dec.read, data, 0)
         assert got[0][:len(symbols)] == symbols
-        assert got == decode_until_error(
-            lambda r: canonical_read_bitwise(lengths, r), data, 0)
+        assert got == decode_until_error(bitwise_reader(lengths), data, 0)
 
     def test_unassigned_prefix_is_an_invalid_code_word(self):
         dec = CanonicalDecoder({5: 1, 6: 2})  # "11" is no code word's prefix
@@ -279,6 +280,41 @@ class TestRunLength:
     def test_short_runs_stay_verbatim(self):
         assert run_length_encode([3, 3, 3], 5) == [3, 3, 3]
         assert run_length_encode([0, 0, 0], 5) == [0, 0, 0]
+
+
+def zero_run_stream(tokens):
+    """Stream whose first length table claims ``139 * tokens`` entries and
+    spells them as ``tokens`` 8-bit zero-run tokens: super code width 1,
+    five super symbols (n = 1), symbol 0 coded 0 and the n+3 token coded
+    1, each token followed by the 7-bit count 127 (139 zeros).  The table
+    is all zeros, so the decoder must end with "empty code"."""
+    w = BitWriter()
+    w.write(1, 32)
+    w.write(5, 32)
+    for length in (1, 0, 0, 0, 1):
+        w.write(length, 1)
+    w.write(139 * tokens, 32)
+    for _ in range(tokens):
+        w.write(0xFF, 8)
+    return w.getvalue()
+
+
+class TestLengthTableBound:
+    def test_long_zero_run_costs_its_bits_not_its_claimed_size(self):
+        blob = zero_run_stream(100_000)
+        assert len(blob) < 101_000
+        started = time.perf_counter()
+        with pytest.raises(DecodeError, match="empty code"):
+            decode(blob)
+        assert time.perf_counter() - started < 1.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError, match="empty code"):
+                decode(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestIdAssignment:
