@@ -1,4 +1,10 @@
-"""MSB-first bit stream reader/writer."""
+"""MSB-first bit streams.
+
+Writing is one conversion: the encoder builds its stream as a string of
+'0' and '1' characters and :func:`bits_to_bytes` turns it into bytes.
+Reading goes through :class:`BitReader`, which peeks and consumes bit
+fields of any width.
+"""
 
 from __future__ import annotations
 
@@ -7,39 +13,13 @@ class BitstreamEnd(Exception):
     """Read past the end of the input."""
 
 
-class BitWriter:
-    def __init__(self):
-        self._out = bytearray()
-        self._acc = 0
-        self._n = 0
-
-    def write(self, value, nbits):
-        if nbits < 0 or value < 0 or value >> nbits:
-            raise ValueError("value %d does not fit in %d bits" % (value, nbits))
-        self._acc = (self._acc << nbits) | value
-        self._n += nbits
-        while self._n >= 8:
-            self._n -= 8
-            self._out.append((self._acc >> self._n) & 0xFF)
-        self._acc &= (1 << self._n) - 1
-
-    def write_bits(self, bits: str):
-        """Append a string of '0' and '1' characters in one conversion."""
-        if bits.strip("01"):
-            raise ValueError("bit string holds a character other than 0 and 1")
-        if self._n:
-            bits = format(self._acc, "0%db" % self._n) + bits
-        value = int(bits or "0", 2)
-        self._n = len(bits) & 7
-        self._out += (value >> self._n).to_bytes(len(bits) >> 3, "big")
-        self._acc = value & ((1 << self._n) - 1)
-
-    def getvalue(self) -> bytes:
-        """Final bytes, zero-padding the last partial byte."""
-        out = bytes(self._out)
-        if self._n:
-            out += bytes([(self._acc << (8 - self._n)) & 0xFF])
-        return out
+def bits_to_bytes(bits: str) -> bytes:
+    """The bytes of a '0'/'1' string, MSB first, the last byte padded
+    with zero bits."""
+    bits += "0" * (-len(bits) % 8)
+    # base-2 int() is linear and exempt from the 4300-digit limit on
+    # str-to-int conversion, so a whole stream converts at once
+    return int(bits or "0", 2).to_bytes(len(bits) >> 3, "big")
 
 
 class BitReader:

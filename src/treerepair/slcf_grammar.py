@@ -186,27 +186,7 @@ class SlcfGrammar:
         creation id.  The start production necessarily comes last because
         every other nonterminal is reachable from it.
         """
-        dependents = {i: [] for i in self.productions}
-        missing = {}
-        ready = []
-        for i in self.productions:
-            deps = self.rhs_nonterminals(i)
-            missing[i] = len(deps)
-            for d in deps:
-                dependents[d].append(i)
-            if not deps:
-                heapq.heappush(ready, i)
-        order = []
-        while ready:
-            i = heapq.heappop(ready)
-            order.append(i)
-            for j in dependents[i]:
-                missing[j] -= 1
-                if missing[j] == 0:
-                    heapq.heappush(ready, j)
-        if len(order) != len(self.productions):
-            raise GrammarError("grammar is cyclic")
-        return order
+        return _dependency_order({i: self.rhs_nonterminals(i) for i in self.productions})
 
     # -- sharing and elimination ---------------------------------------------------
 
@@ -301,25 +281,35 @@ class SlcfGrammar:
 
         The bound is the SLP length computation: bottom-up, a production's
         value counts its rhs terminals plus the values of the productions it
-        references (parameters count 0), saturated at ``node_cap + 1``.  The
-        same walk numbers each rhs's parameter leaves in preorder; the map
+        references (parameters count 0), saturated at ``node_cap + 1``.  One
+        walk per rhs counts its terminals and its references to each
+        production and numbers its parameter leaves in preorder; the map
         from parameter leaf to that index is returned.
         """
-        t = self.arena
-        size = {}
+        labels, children = self.arena.labels, self.arena.children
+        terminals = {}
+        refs = {}
         param_index = {}
-        for i in self.hierarchical_order():
-            total = n = 0
-            stack = [self.productions[i].root]
+        for i, prod in self.productions.items():
+            count = n = 0
+            used = refs[i] = {}
+            stack = [prod.root]
             while stack:
                 v = stack.pop()
-                label = t.labels[v]
+                label = labels[v]
                 if label is PARAMETER:
                     param_index[v] = n
                     n += 1
                     continue
-                total += size[label.id] if isinstance(label, Nonterminal) else 1
-                stack.extend(reversed(t.children[v]))
+                if isinstance(label, Nonterminal):
+                    used[label.id] = used.get(label.id, 0) + 1
+                else:
+                    count += 1
+                stack.extend(reversed(children[v]))
+            terminals[i] = count
+        size = {}
+        for i in _dependency_order(refs):
+            total = terminals[i] + sum([size[j] * k for j, k in refs[i].items()])
             size[i] = min(total, node_cap + 1)
         if size[self.start_id] > node_cap:
             raise GrammarError("unfolded value exceeds %d nodes" % node_cap)
@@ -450,6 +440,32 @@ class _Tags(dict):
             tags = (bits, "<%s/>" % name, None)
         self[sym] = tags
         return tags
+
+
+def _dependency_order(refs) -> list:
+    """Ids of ``refs`` (``{id: distinct referenced ids}``) ordered
+    referenced before referencing, ties toward the smaller id (Kahn's
+    algorithm over a min-heap)."""
+    dependents = {i: [] for i in refs}
+    missing = {}
+    ready = []
+    for i, used in refs.items():
+        missing[i] = len(used)
+        for d in used:
+            dependents[d].append(i)
+        if not used:
+            heapq.heappush(ready, i)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in dependents[i]:
+            missing[j] -= 1
+            if missing[j] == 0:
+                heapq.heappush(ready, j)
+    if len(order) != len(refs):
+        raise GrammarError("grammar is cyclic")
+    return order
 
 
 def _write_tags(arena, root, rhs_roots, param_index) -> bytes:

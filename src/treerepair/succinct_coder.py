@@ -6,16 +6,16 @@ Layout of the compressed stream, all bit-level, MSB first:
 2. fixed 32-bit field: size of the super alphabet (= n + 4, where n is the
    largest code length over the three base codings)
 3. the super code length table, one raw n_s-bit entry per super symbol
-4. for each base coding (symbol ids, then name bytes is NOT the order --
-   see below): a 32-bit entry count followed by the run-length encoded
-   code length table, tokens written in the super code
+4. for each base coding, in the order C1, C2, C3: a 32-bit entry count
+   followed by the run-length encoded code length table, tokens written in
+   the super code and run counts as raw bits
 5. the value sequence itself, every integer written in its base coding and
    characteristic tags written as raw 2-bit fields
 6. zero padding to a byte boundary
 
 Base codings: C1 codes the start production's symbol ids, C2 codes every
 other integer (counts, alphabet ids, non-start production bodies), C3 codes
-the name bytes. Their length tables are written in the order C1, C2, C3.
+the name bytes.
 
 The value sequence is:
 
@@ -27,6 +27,10 @@ The value sequence is:
   terminated by ETX (0x03); names must not contain ETX
 - the non-start production bodies in ascending id order, then the start
   production body: preorder label id sequences, ranks implied by the ids
+
+Every code word and fixed-width field is a string of '0' and '1'
+characters; :func:`encode` joins them into one bit string and converts it
+to bytes once.
 """
 
 from __future__ import annotations
@@ -35,15 +39,14 @@ import heapq
 import math
 from collections import Counter
 
-from .bitio import BitReader, BitstreamEnd, BitWriter
+from .bitio import BitReader, BitstreamEnd, bits_to_bytes
 from .xml_tree import ETX, ChildrenCharacteristic
 from .slcf_grammar import PARAMETER, SlcfGrammar
 
 FIELD_BITS = 32
 
-# values per string conversion when writing the value sequence; chunks
-# keep the strings small next to the sequence itself
-WRITE_CHUNK = 4096
+# the Huffman-coded channels, in the order of their length tables
+CODED_CHANNELS = ('c1', 'c2', 'c3')
 
 # characteristics listed explicitly in the terminal alphabet blocks;
 # TWO_CHILDREN is implied by absence
@@ -52,6 +55,9 @@ LISTED_CHARACTERISTICS = (
     ChildrenCharacteristic.NO_LEFT_CHILD,
     ChildrenCharacteristic.NO_RIGHT_CHILD,
 )
+
+# tags are not Huffman-coded: each is its raw 2-bit characteristic
+TAG_CODES = {char.value: format(char.value, "02b") for char in LISTED_CHARACTERISTICS}
 
 
 class EncodeError(ValueError):
@@ -104,8 +110,15 @@ def kraft_sum_num(lengths) -> tuple[int, int]:
     return num, 1 << m
 
 
+def fixed_bits(value, width) -> str:
+    """``value`` as a ``width``-bit string, MSB first (``width`` >= 1)."""
+    if value >> width:
+        raise EncodeError("field value %d too large" % value)
+    return format(value, "0%db" % width)
+
+
 def canonical_codes(lengths) -> dict:
-    """Canonical code per symbol: ``{symbol: (code, length)}``.
+    """Canonical code word per symbol: ``{symbol: bit string}``.
 
     Symbols are ordered by (length, symbol); codes of one length are
     consecutive and every code is the previous one incremented, shifted left
@@ -122,7 +135,7 @@ def canonical_codes(lengths) -> dict:
     for sym in sorted(lengths, key=lambda s: (lengths[s], s)):
         l = lengths[sym]
         code <<= l - prev_len
-        codes[sym] = (code, l)
+        codes[sym] = fixed_bits(code, l)
         code += 1
         prev_len = l
     return codes
@@ -302,59 +315,56 @@ def assign_ids(grammar: SlcfGrammar) -> SymbolIdTable:
     return SymbolIdTable(grammar.terminal_order, nts)
 
 
-def _preorder_ids(grammar: SlcfGrammar, root, table: SymbolIdTable):
+def _preorder_ids(grammar: SlcfGrammar, roots, table: SymbolIdTable) -> list:
+    """Symbol ids of the rhs trees at ``roots``, each in preorder."""
     t = grammar.arena
+    labels, children, id_of = t.labels, t.children, table.id_of
     out = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        out.append(table.id_of[t.labels[v]])
-        stack.extend(reversed(t.children[v]))
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            out.append(id_of[labels[v]])
+            stack.extend(reversed(children[v]))
     return out
 
 
 def serialize_values(grammar: SlcfGrammar, table: SymbolIdTable) -> list:
-    """Value sequence as (channel, value) pairs.
+    """Value sequence as ``(channel, values)`` segments in stream order.
 
     Channels: 'c1' start production ids, 'c2' every other integer, 'c3'
-    name bytes, 'tag' raw 2-bit characteristic tags.
+    name bytes (one ``bytes`` segment), 'tag' raw 2-bit characteristic
+    tags.
     """
-    vals = [('c2', len(table.terminals)), ('c2', len(table.nonterminals))]
+    segments = [('c2', [len(table.terminals), len(table.nonterminals)])]
     for char in LISTED_CHARACTERISTICS:
         ids = [i for i, sym in enumerate(table.terminals, start=1)
                if sym.characteristic == char]
-        vals.append(('tag', char.value))
-        vals.append(('c2', len(ids)))
-        vals.extend(('c2', i) for i in ids)
-    for sym in table.terminals:
-        vals.extend(('c3', b) for b in sym.name.encode("utf-8"))
-        vals.append(('c3', ETX))
-    for nt in table.nonterminals:
-        prod = grammar.productions[nt.id]
-        vals.extend(('c2', sid) for sid in _preorder_ids(grammar, prod.root, table))
-    start = grammar.start()
-    vals.extend(('c1', sid) for sid in _preorder_ids(grammar, start.root, table))
-    return vals
+        segments.append(('tag', [char.value]))
+        segments.append(('c2', [len(ids)] + ids))
+    etx = bytes([ETX])
+    segments.append(('c3', b"".join([sym.name.encode("utf-8") + etx
+                                     for sym in table.terminals])))
+    bodies = [grammar.productions[nt.id].root for nt in table.nonterminals]
+    segments.append(('c2', _preorder_ids(grammar, bodies, table)))
+    segments.append(('c1', _preorder_ids(grammar, [grammar.start().root], table)))
+    return segments
 
 
 def encode(grammar: SlcfGrammar) -> bytes:
     table = assign_ids(grammar)
-    vals = serialize_values(grammar, table)
+    segments = serialize_values(grammar, table)
 
-    freqs = {'c1': Counter(), 'c2': Counter(), 'c3': Counter(), 'tag': Counter()}
-    for channel, value in vals:
-        freqs[channel][value] += 1
-
-    lengths = {ch: huffman_code_lengths(freqs[ch]) for ch in ('c1', 'c2', 'c3')}
-    # each channel's code words as bit strings, to write the value sequence
-    # one string conversion at a time (see WRITE_CHUNK)
-    texts = {ch: {sym: format(code, "0%db" % l)
-                  for sym, (code, l) in canonical_codes(lengths[ch]).items()}
-             for ch in ('c1', 'c2', 'c3')}
-    texts['tag'] = {value: format(value, "02b") for value in freqs['tag']}
+    freqs = {ch: Counter() for ch in CODED_CHANNELS}
+    for channel, values in segments:
+        if channel in freqs:
+            freqs[channel].update(values)
+    lengths = {ch: huffman_code_lengths(freqs[ch]) for ch in CODED_CHANNELS}
+    codes = {ch: canonical_codes(lengths[ch]) for ch in CODED_CHANNELS}
+    codes['tag'] = TAG_CODES
     n = max(max(l.values()) for l in lengths.values())
 
-    length_tables = [lengths_table(lengths[ch]) for ch in ('c1', 'c2', 'c3')]
+    length_tables = [lengths_table(lengths[ch]) for ch in CODED_CHANNELS]
     streams = [run_length_encode(tbl, n) for tbl in length_tables]
 
     super_freqs = Counter(tok for stream in streams for tok in stream
@@ -363,25 +373,12 @@ def encode(grammar: SlcfGrammar) -> bytes:
     super_codes = canonical_codes(super_lengths)
     n_s = max(super_lengths.values()).bit_length()
 
-    w = BitWriter()
-
-    def field(value):
-        if value >> FIELD_BITS:
-            raise EncodeError("field value %d too large" % value)
-        w.write(value, FIELD_BITS)
-
-    field(n_s)
-    field(n + 4)
-    for s in range(n + 4):
-        w.write(super_lengths.get(s, 0), n_s)
+    bits = [fixed_bits(n_s, FIELD_BITS), fixed_bits(n + 4, FIELD_BITS)]
+    bits += [fixed_bits(super_lengths.get(s, 0), n_s) for s in range(n + 4)]
     for tbl, stream in zip(length_tables, streams):
-        field(len(tbl))
-        for tok in stream:
-            if isinstance(tok, tuple):
-                w.write(tok[2], tok[1])
-            else:
-                w.write(*super_codes[tok])
-    for i in range(0, len(vals), WRITE_CHUNK):
-        w.write_bits("".join([texts[channel][value]
-                              for channel, value in vals[i:i + WRITE_CHUNK]]))
-    return w.getvalue()
+        bits.append(fixed_bits(len(tbl), FIELD_BITS))
+        bits += [fixed_bits(tok[2], tok[1]) if isinstance(tok, tuple)
+                 else super_codes[tok] for tok in stream]
+    for channel, values in segments:
+        bits += map(codes[channel].__getitem__, values)
+    return bits_to_bytes("".join(bits))

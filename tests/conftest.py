@@ -12,6 +12,24 @@ from treerepair.xml_tree import BinaryTree, Tree, TerminalSymbol
 
 BOOKS = b"<books>" + b"<book><author/><title/><isbn/></book>" * 5 + b"</books>"
 
+# the books grammar's value sequence (max_rank 99, optimize edges, no DAG)
+# as (channel, value) pairs
+BOOKS_VALUES = (
+    [("c2", 6), ("c2", 2)]
+    + [("tag", 0b00), ("c2", 1), ("c2", 2)]
+    + [("tag", 0b01), ("c2", 2), ("c2", 3), ("c2", 4)]
+    + [("tag", 0b10), ("c2", 2), ("c2", 1), ("c2", 5)]
+    + [("c3", b) for b in b"books\x03isbn\x03title\x03author\x03book\x03book\x03"]
+    + [("c2", 4), ("c2", 3), ("c2", 2)]
+    + [("c2", 6), ("c2", 8), ("c2", 7)]
+    + [("c1", v) for v in (1, 9, 9, 9, 9, 5, 8)]
+)
+
+
+def flat_values(segments):
+    """``serialize_values`` segments as one (channel, value) pair per value."""
+    return [(channel, v) for channel, values in segments for v in values]
+
 
 def ranked(token):
     """'f/2' -> rank-2 terminal named f."""

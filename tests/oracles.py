@@ -180,11 +180,6 @@ def huffman_cost(freqs):
     return total
 
 
-def code_strings(codes):
-    """{symbol: (code, length)} -> {symbol: bit string}."""
-    return {s: format(c, "0%db" % l) for s, (c, l) in codes.items()}
-
-
 def prefix_free(bitstrings):
     """True if no bit string is a prefix of another."""
     items = sorted(bitstrings)

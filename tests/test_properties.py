@@ -21,11 +21,12 @@ from treerepair import (
     parse_xml,
     serialize_xml,
 )
-from treerepair.bitio import BitReader, BitstreamEnd, BitWriter
+from treerepair.bitio import BitReader, BitstreamEnd, bits_to_bytes
 from treerepair.pipeline import DEFAULT_NODE_CAP
 from treerepair.succinct_coder import (
     CanonicalDecoder,
     canonical_codes,
+    fixed_bits,
     huffman_code_lengths,
     run_length_encode,
 )
@@ -34,7 +35,6 @@ from treerepair.succinct_decoder import run_length_decode
 from conftest import BOOKS, random_xml, shape_to_xml
 from oracles import (
     binary_shape,
-    code_strings,
     decompress_bytes_by_unfolding,
     element_shape,
     fcns_shape,
@@ -179,13 +179,9 @@ class TestCodings:
     def test_canonical_codes_decode_what_they_encode(self, freqs, data):
         lengths = huffman_code_lengths(freqs)
         codes = canonical_codes(lengths)
-        assert prefix_free(list(code_strings(codes).values()))
+        assert prefix_free(list(codes.values()))
         symbols = data.draw(st.lists(st.sampled_from(sorted(freqs)), max_size=40))
-        w = BitWriter()
-        for s in symbols:
-            code, length = codes[s]
-            w.write(code, length)
-        r = BitReader(w.getvalue())
+        r = BitReader(bits_to_bytes("".join(codes[s] for s in symbols)))
         dec = CanonicalDecoder(lengths)
         assert [dec.read(r) for _ in symbols] == symbols
 
@@ -197,13 +193,9 @@ class TestCodings:
         table's nonzero entries, and fails alike."""
         n, values = case
         codes = canonical_codes(huffman_code_lengths({s: 1 for s in range(n + 4)}))
-        w = BitWriter()
-        for tok in run_length_encode(values, n):
-            if isinstance(tok, tuple):
-                w.write(tok[2], tok[1])
-            else:
-                w.write(*codes[tok])
-        data = w.getvalue()
+        data = bits_to_bytes("".join(
+            fixed_bits(tok[2], tok[1]) if isinstance(tok, tuple) else codes[tok]
+            for tok in run_length_encode(values, n)))
         sparse, dense = self._run_length_both_ways(data, n, len(values))
         assert sparse == dense
         assert sparse[0] == ("ok", {i: v for i, v in enumerate(values) if v})

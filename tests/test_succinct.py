@@ -5,7 +5,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treerepair import decode, encode, parse_xml
 from treerepair.pipeline import build_grammar
@@ -15,18 +15,18 @@ from treerepair.succinct_coder import (
     LOOKUP_BITS,
     CanonicalDecoder,
     canonical_codes,
+    fixed_bits,
     huffman_code_lengths,
     lengths_table,
     run_length_encode,
     assign_ids,
     serialize_values,
 )
-from treerepair.bitio import BitReader, BitstreamEnd, BitWriter
+from treerepair.bitio import BitReader, BitstreamEnd, bits_to_bytes
 from treerepair.slcf_grammar import PARAMETER
 
-from conftest import BOOKS, make_grammar, read_header
-from oracles import (bitwise_reader, code_strings, huffman_cost, kraft_sum,
-                     prefix_free, rle_expand)
+from conftest import BOOKS, BOOKS_VALUES, flat_values, make_grammar, read_header
+from oracles import bitwise_reader, huffman_cost, kraft_sum, prefix_free, rle_expand
 
 
 def books_grammar():
@@ -34,17 +34,6 @@ def books_grammar():
 
 
 BOOKS_BLOB = encode(books_grammar())
-
-BOOKS_VALUES = (
-    [("c2", 6), ("c2", 2)]
-    + [("tag", 0b00), ("c2", 1), ("c2", 2)]
-    + [("tag", 0b01), ("c2", 2), ("c2", 3), ("c2", 4)]
-    + [("tag", 0b10), ("c2", 2), ("c2", 1), ("c2", 5)]
-    + [("c3", b) for b in b"books\x03isbn\x03title\x03author\x03book\x03book\x03"]
-    + [("c2", 4), ("c2", 3), ("c2", 2)]
-    + [("c2", 6), ("c2", 8), ("c2", 7)]
-    + [("c1", v) for v in (1, 9, 9, 9, 9, 5, 8)]
-)
 
 
 class TestHuffmanLengths:
@@ -68,7 +57,7 @@ class TestHuffmanLengths:
 
     def test_single_symbol_gets_a_one_bit_code(self):
         assert huffman_code_lengths({7: 5}) == {7: 1}
-        assert canonical_codes({7: 1}) == {7: (0, 1)}
+        assert canonical_codes({7: 1}) == {7: "0"}
 
     def test_optimal_cost_on_assorted_distributions(self):
         import random
@@ -83,12 +72,17 @@ class TestHuffmanLengths:
 class TestCanonicalCodes:
     def test_length_sorted_consecutive_assignment(self):
         codes = canonical_codes({97: 2, 98: 1, 99: 3, 101: 3})
-        assert code_strings(codes) == {97: "10", 98: "0", 99: "110", 101: "111"}
+        assert codes == {97: "10", 98: "0", 99: "110", 101: "111"}
         assert lengths_table({97: 2, 98: 1, 99: 3, 101: 3})[97:102] == [2, 1, 3, 0, 3]
 
     def test_oversubscribed_lengths_are_rejected(self):
         with pytest.raises(EncodeError):
             canonical_codes({1: 1, 2: 1, 3: 1})
+
+    def test_fixed_width_field_rejects_a_wider_value(self):
+        assert fixed_bits(5, 32) == "0" * 29 + "101"
+        with pytest.raises(EncodeError, match="field value 4294967296 too large"):
+            fixed_bits(1 << 32, 32)
 
     def test_prefix_freedom_and_decoder_roundtrip(self):
         import random
@@ -98,14 +92,10 @@ class TestCanonicalCodes:
             freqs = {s: rng.randint(1, 30) for s in rng.sample(range(140), rng.randint(1, 20))}
             lengths = huffman_code_lengths(freqs)
             codes = canonical_codes(lengths)
-            assert prefix_free(list(code_strings(codes).values()))
+            assert prefix_free(list(codes.values()))
             symbols = list(codes) * 3
             rng.shuffle(symbols)
-            w = BitWriter()
-            for s in symbols:
-                code, length = codes[s]
-                w.write(code, length)
-            r = BitReader(w.getvalue())
+            r = BitReader(bits_to_bytes("".join(codes[s] for s in symbols)))
             dec = CanonicalDecoder(lengths)
             assert [dec.read(r) for _ in symbols] == symbols
 
@@ -157,14 +147,13 @@ class TestTableDecoder:
         """Code words (small picks are the longest ones), then random bits,
         maybe cut at a random bit: both decoders read the same symbols and
         stop with the same error at the same bit."""
-        texts = code_strings(canonical_codes(lengths))
+        texts = canonical_codes(lengths)
         syms = sorted(texts, key=lambda s: (-lengths[s], s))
         bits = "1" * skip + "".join(texts[syms[p % len(syms)]] for p in picks)
         bits += "".join("1" if b else "0" for b in noise)
         if cut is not None:
             bits = bits[:skip + cut % (len(bits) - skip + 1)]
-        bits += "0" * (-len(bits) % 8)
-        data = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+        data = bits_to_bytes(bits)
         dec = CanonicalDecoder(lengths)
         got = decode_until_error(dec.read, data, skip)
         want = decode_until_error(bitwise_reader(lengths), data, skip)
@@ -177,10 +166,7 @@ class TestTableDecoder:
         codes = canonical_codes(lengths)
         symbols = list(range(21)) * 2
         random.Random(3).shuffle(symbols)
-        w = BitWriter()
-        for s in symbols:
-            w.write(*codes[s])
-        data = w.getvalue()
+        data = bits_to_bytes("".join(codes[s] for s in symbols))
         dec = CanonicalDecoder(lengths)
         got = decode_until_error(dec.read, data, 0)
         assert got[0][:len(symbols)] == symbols
@@ -218,23 +204,21 @@ class TestBitIo:
                     assert r.read(n) == int(bits[pos:pos + n] or "0", 2)
                     assert r.remaining_bits == len(bits) - pos - n
 
-    @given(pieces=st.lists(st.tuples(st.booleans(), st.integers(0, 70),
-                                      st.integers(0, 2 ** 70)), max_size=12))
-    def test_write_bits_matches_write(self, pieces):
-        one, batched = BitWriter(), BitWriter()
-        for as_text, nbits, value in pieces:
-            value &= (1 << nbits) - 1
-            one.write(value, nbits)
-            if as_text:
-                batched.write_bits(format(value, "0%db" % nbits) if nbits else "")
-            else:
-                batched.write(value, nbits)
-        assert batched.getvalue() == one.getvalue()
-
-    def test_write_bits_rejects_other_characters(self):
-        for text in ("012", "0 1", "1_0", "2"):
-            with pytest.raises(ValueError):
-                BitWriter().write_bits(text)
+    @given(pieces=st.lists(st.tuples(st.integers(0, 70), st.integers(0, 2 ** 70)),
+                           max_size=12))
+    @example(pieces=[])
+    def test_bits_to_bytes_round_trips_through_the_reader(self, pieces):
+        """Fields of width 0-70 joined as one bit string: one byte per
+        started 8 bits, the fields read back in order, zero padding."""
+        pieces = [(nbits, value & ((1 << nbits) - 1)) for nbits, value in pieces]
+        bits = "".join(format(value, "0%db" % nbits) if nbits else ""
+                       for nbits, value in pieces)
+        data = bits_to_bytes(bits)
+        assert len(data) == -(-len(bits) // 8)
+        r = BitReader(data)
+        assert [r.read(nbits) for nbits, _ in pieces] == [v for _, v in pieces]
+        assert r.remaining_bits < 8
+        assert r.read(r.remaining_bits) == 0
 
 
 class TestRunLength:
@@ -288,15 +272,8 @@ def zero_run_stream(tokens):
     five super symbols (n = 1), symbol 0 coded 0 and the n+3 token coded
     1, each token followed by the 7-bit count 127 (139 zeros).  The table
     is all zeros, so the decoder must end with "empty code"."""
-    w = BitWriter()
-    w.write(1, 32)
-    w.write(5, 32)
-    for length in (1, 0, 0, 0, 1):
-        w.write(length, 1)
-    w.write(139 * tokens, 32)
-    for _ in range(tokens):
-        w.write(0xFF, 8)
-    return w.getvalue()
+    return bits_to_bytes(fixed_bits(1, 32) + fixed_bits(5, 32) + "10001"
+                         + fixed_bits(139 * tokens, 32) + "11111111" * tokens)
 
 
 class TestLengthTableBound:
@@ -343,11 +320,11 @@ class TestIdAssignment:
 class TestValueSequence:
     def test_books_values_and_channels(self):
         g = books_grammar()
-        assert serialize_values(g, assign_ids(g)) == BOOKS_VALUES
+        assert flat_values(serialize_values(g, assign_ids(g))) == BOOKS_VALUES
 
     def test_non_start_bodies_precede_the_start_body(self):
         g = books_grammar()
-        values = serialize_values(g, assign_ids(g))
+        values = flat_values(serialize_values(g, assign_ids(g)))
         channels = [c for c, _ in values]
         assert channels.index("c1") == len(channels) - 7
         assert set(channels[channels.index("c1"):]) == {"c1"}
