@@ -15,18 +15,25 @@ creation sequence number, into per-record arrays (list head and tail,
 ``count``).  ``records`` maps a digram key to its id; the key is one
 integer packed from the index's own small ids of the two symbols and the
 child index, so no record holds an object the cyclic garbage collector
-has to track.  Records are never dropped, so a digram that loses every
-occurrence and gains one again keeps its id and with it its place in
-tie-breaking.  ``pop_most_frequent`` hands out record ids; ``digram(r)``
-and ``head(r)`` read a record's digram and its oldest occurrence off the
-head edge of its list.
+has to track.  Records exist only for digrams within the rank bound: an
+edge whose digram would need a pattern of larger rank is never listed,
+so it gets no record.  Records are never dropped, so a digram that loses
+every occurrence and gains one again keeps its id and with it its place
+in tie-breaking.  ``pop_most_frequent`` hands out record ids;
+``digram(r)`` and ``head(r)`` read a record's digram and its oldest
+occurrence off the head edge of its list.
+
+The lists change through one pair of primitives: ``_link(nodes)`` lists
+the parent edge of each given node and ``_unlink(nodes)`` drops it.  A
+replacement at v unlinks, and then links again, the edges into v (its
+parent edge, or the reference edges of its production when v is a rhs
+root) and v's child edges.
 
 Digram priorities live in sqrt(n) frequency buckets plus an unsorted top
 list for frequencies >= sqrt(n) (n = edge count of the input tree).  Only
-records that can be offered for replacement are placed: at least two
-occurrences and a par within the rank bound.  Records below two
-occurrences sit in no bucket.  The maximum frequency only decreases over
-a replacement run, which makes the scan cursor amortized cheap.
+records with at least two occurrences are placed; records below two sit
+in no bucket.  The maximum frequency only decreases over a replacement
+run, which makes the scan cursor amortized cheap.
 
 In a DAG-shaped grammar a reference to a rank-0 DAG nonterminal counts as
 an occurrence of the digram formed with the root label of its production
@@ -39,7 +46,7 @@ production counts once however often the production is used.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import inf, isqrt
 
 from .slcf_grammar import Nonterminal, SlcfGrammar
 
@@ -67,7 +74,6 @@ class DigramIndex:
         self._head = []
         self._tail = []
         self.count = []
-        self._blocked = set()  # records whose par exceeds max_rank
         # Per arena node: the edge from its parent.
         n = len(grammar.arena)
         self._slot = [FREE] * n
@@ -93,13 +99,10 @@ class DigramIndex:
         """Move record r from its place at count ``old`` to its place at
         count ``new``; called only when one of the two is at least 2.
 
-        A record is placed only while it has two or more occurrences and
-        its par is within the rank bound (blocked records never are):
+        A record is placed only while it has two or more occurrences:
         counts below bucket_limit in their bucket, larger ones in the top
         list.  Records below two occurrences sit in no bucket.
         """
-        if r in self._blocked:
-            return
         limit = self.bucket_limit
         if old >= 2:
             if old >= limit and new >= limit:
@@ -123,47 +126,47 @@ class DigramIndex:
         self._sid[sym] = s
         return s
 
-    def _key(self, parent, index, child):
-        """Packed key of a digram, or None when a symbol was never seen."""
-        p = self._sid.get(parent)
-        q = self._sid.get(child)
-        if p is None or q is None:
-            return None
-        return p << _BITS | q | index
-
     # -- list updates ------------------------------------------------------------
 
-    def _link(self, v, edges):
-        """Append the edges from v, given as (index, child) pairs, to their
-        digrams' lists.
+    def _link(self, nodes):
+        """Append the parent edges of ``nodes`` to their digrams' lists.
 
-        Cross-production edges (child is a DAG-nonterminal reference) with
-        equal parent and resolved child symbol are skipped: overlapping
-        occurrence chains across a shared production cannot be maintained
+        An edge whose digram exceeds the rank bound is not listed.  Nor is
+        a cross-production edge (the node is a DAG-nonterminal reference)
+        with equal parent and resolved child symbol: overlapping occurrence
+        chains across a shared production cannot be maintained
         consistently, so such digrams are never offered for replacement.
         """
         g = self.g
-        labels = g.arena.labels
+        ar = g.arena
+        labels, parents, pindex = ar.labels, ar.parents, ar.pindex
         sid = self._sid
         records = self.records
         slot, nxt, prv = self._slot, self._next, self._prev
         head, tail, count = self._head, self._tail, self.count
-        max_rank = self.max_rank
-        pl = labels[v]
-        p = sid.get(pl)
-        if p is None:
-            p = self._intern(pl)
-        p <<= _BITS
-        for i, c in edges:
+        bound = inf if self.max_rank is None else self.max_rank + 1
+        v = None
+        for c in nodes:
+            if parents[c] != v:  # child edges share their parent's lookups
+                v = parents[c]
+                assert v != -1, "edge without a parent"
+                pl = labels[v]
+                room = bound - pl.rank
+                p = sid.get(pl)
+                if p is None:
+                    p = self._intern(pl)
+                p <<= _BITS
             cl = labels[c]
             if isinstance(cl, Nonterminal) and cl.is_dag:
                 cl = g.resolve_label(cl)
                 if cl == pl:
                     continue
+            if cl.rank > room:  # rank(p) + rank(c) > max_rank + 1
+                continue
             q = sid.get(cl)
             if q is None:
                 q = self._intern(cl)
-            key = p | q | i
+            key = p | q | pindex[c]
             assert slot[c] == FREE, "edge already on a list"
             r = records.get(key)
             if r is None:
@@ -174,8 +177,6 @@ class DigramIndex:
                 slot[c] = r
                 prv[c] = END
                 nxt[c] = END
-                if max_rank is not None and pl.rank + cl.rank - 1 > max_rank:
-                    self._blocked.add(r)
                 continue
             slot[c] = r
             t = tail[r]
@@ -216,10 +217,6 @@ class DigramIndex:
             if n >= 2:
                 self._requeue(r, n, n - 1)
 
-    def occupied(self, v, i):
-        kids = self.g.arena.children[v]
-        return i <= len(kids) and self._slot[kids[i - 1]] != FREE
-
     def adopt(self, old, new):
         """The edge that ended in node ``old`` now ends in ``new``.
 
@@ -247,55 +244,50 @@ class DigramIndex:
 
     # -- absorbed / fresh occurrences around one replacement ------------------------
 
+    def _edges_into(self, v):
+        """Child nodes of the edges into v: v itself, or the references to
+        v's production when v is a rhs root."""
+        g = self.g
+        if g.arena.parents[v] != -1:
+            return (v,)
+        return g.refs[g.root_to_prod[v]]
+
     def remove_absorbed(self, v, j):
         """Drop every occurrence a replacement at (v, j) invalidates.
 
-        These are v's parent edge (or, when v is a production root, the
-        reference edges of every use of that production), all of v's child
-        edges and all child edges of the vanishing child v_j.  Runs before
-        any label or structure change.
+        These are the edges into v, all of v's child edges and all child
+        edges of the vanishing child v_j.  Runs before any label or
+        structure change.
         """
-        g = self.g
-        ar = g.arena
-        if ar.parents[v] != -1:
-            self._unlink((v,))
-        else:
-            self._unlink(g.refs[g.root_to_prod[v]])
-        kids = ar.children[v]
+        children = self.g.arena.children
+        kids = children[v]
+        self._unlink(self._edges_into(v))
         self._unlink(kids)
-        self._unlink(ar.children[kids[j - 1]])
+        self._unlink(children[kids[j - 1]])
 
     def add_new(self, v):
-        """Register the edges a replacement at v created.
+        """Register the edges a replacement at v created: the edges into v
+        and v's child edges.
 
         Unconditional (no overlap re-checks): entries of one digram may
         transiently overlap after this, which is harmless because
         remove_absorbed drops conflicting entries before they could both
         be replaced.
         """
-        g = self.g
-        ar = g.arena
         self._grow()
-        p = ar.parents[v]
-        if p != -1:
-            self._link(p, ((ar.pindex[v], v),))
-        else:
-            for r in g.refs[g.root_to_prod[v]]:
-                rp = ar.parents[r]
-                assert rp != -1
-                self._link(rp, ((ar.pindex[r], r),))
-        self._link(v, enumerate(ar.children[v], 1))
+        self._link(self._edges_into(v))
+        self._link(self.g.arena.children[v])
 
     # -- priority queue --------------------------------------------------------------
 
     def pop_most_frequent(self):
         """Id of the most frequent replaceable digram record, or None.
 
-        Buckets and the top list hold exactly the replaceable records (two
-        or more occurrences, par within the rank bound), so nothing found
-        there is skipped.  Among top-list digrams the most frequent wins,
-        ties going to the earliest created (smallest id); inside a bucket
-        the longest-resident entry is taken.
+        Buckets and the top list hold exactly the records with two or more
+        occurrences, and every record is within the rank bound, so nothing
+        found there is skipped.  Among top-list digrams the most frequent
+        wins, ties going to the earliest created (smallest id); inside a
+        bucket the longest-resident entry is taken.
         """
         count = self.count
         best = None
@@ -330,19 +322,6 @@ class DigramIndex:
         """Parent node of the oldest listed occurrence of record r, which
         must have one."""
         return self.g.arena.parents[self._head[r]]
-
-    def occurrence_nodes(self, parent, index, child):
-        """Parent nodes of a digram's listed occurrences, oldest first."""
-        r = self.records.get(self._key(parent, index, child))
-        if r is None:
-            return []
-        parents = self.g.arena.parents
-        out = []
-        c = self._head[r]
-        while c != END:
-            out.append(parents[c])
-            c = self._next[c]
-        return out
 
 
 def compute_occurrences(tree, root, parent_sym, index, child_sym):
@@ -383,12 +362,12 @@ def build_index(grammar: SlcfGrammar, n_edges=None, max_rank=None) -> DigramInde
     g = grammar
     ar = g.arena
     labels, parents, pindex, children = ar.labels, ar.parents, ar.pindex, ar.children
+    slot = idx._slot
     for prod in list(g.productions.values()):
         root = prod.root
         for v in ar.iter_postorder(root):
             if v == root:
                 continue
-            i = pindex[v]
             lv = labels[v]
             # A DAG reference is always linked (_link applies the
             # equal-symbol skip).  Otherwise, v itself already chosen as an
@@ -396,9 +375,10 @@ def build_index(grammar: SlcfGrammar, n_edges=None, max_rank=None) -> DigramInde
             # skip then.
             if not (isinstance(lv, Nonterminal) and lv.is_dag):
                 kids = children[v]
-                if (idx.occupied(v, i)
+                i = pindex[v]
+                if (i <= len(kids) and slot[kids[i - 1]] != FREE
                         and lv == labels[parents[v]]
                         and g.resolve_label(labels[kids[i - 1]]) == lv):
                     continue
-            idx._link(parents[v], ((i, v),))
+            idx._link((v,))
     return idx

@@ -206,8 +206,8 @@ class SlcfGrammar:
         """Replace the i-th preorder parameter leaf under root by args[i].
 
         The argument subtrees are moved, not copied.  Returns the root
-        (unchanged; a bare-parameter rhs is illegal so root is never a
-        parameter leaf itself).
+        (unchanged; a bare-parameter rhs is illegal, and the decoder rejects
+        one, so root is never a parameter leaf itself).
         """
         t = self.arena
         n = 0
@@ -392,38 +392,6 @@ class SlcfGrammar:
                     stack.append(kids[0])
             lines.append("".join(out))
         return "\n".join(lines)
-
-    # -- validation (used by tests) ---------------------------------------------
-
-    def validate(self):
-        t = self.arena
-        assert self.start_id in self.productions
-        seen_refs = {i: 0 for i in self.productions}
-        for i, prod in self.productions.items():
-            assert prod.nt.id == i
-            assert t.parents[prod.root] == -1
-            assert self.root_to_prod[prod.root] == i
-            y = 0
-            for v in t.iter_postorder(prod.root):
-                label = t.labels[v]
-                assert label is not None
-                if label is PARAMETER:
-                    y += 1
-                    continue
-                assert len(t.children[v]) == label.rank
-                if isinstance(label, Nonterminal):
-                    assert label.id in self.productions, "dangling reference"
-                    assert v in self.refs[label.id]
-                    seen_refs[label.id] += 1
-            assert y == prod.nt.rank, "parameter count != rank"
-            assert t.labels[prod.root] is not PARAMETER
-        for i in self.productions:
-            assert seen_refs[i] == len(self.refs[i])
-            if i != self.start_id:
-                assert seen_refs[i] >= 1, "unreferenced nonterminal"
-            else:
-                assert seen_refs[i] == 0
-        self.hierarchical_order()  # raises if cyclic
 
 
 class _Tags(dict):

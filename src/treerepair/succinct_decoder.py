@@ -71,7 +71,10 @@ def _parse_body(reader, decoder, grammar, symbols, max_id):
     """Parse one production body written as a preorder id sequence.
 
     Returns (root node, parameter count).  Ranks are implied by the symbols,
-    so the body is complete exactly when every node has its children.
+    so the body is complete exactly when every node has its children.  A
+    body that is a bare parameter (``A(y) -> y``) is rejected: the encoder
+    never writes one, and a chain of references through it would derive
+    a small value from an exponentially long walk.
     """
     t = grammar.arena
     y_count = 0
@@ -83,6 +86,8 @@ def _parse_body(reader, decoder, grammar, symbols, max_id):
             raise DecodeError("symbol id %d out of range" % sid)
         sym = symbols[sid]
         if sym is PARAMETER:
+            if root is None:
+                raise DecodeError("production body is a bare parameter")
             y_count += 1
             rank = 0
         else:

@@ -175,7 +175,7 @@ class Tree:
         # ``order`` lists each node before its children, right to left.
         return reversed(order)
 
-    # -- measures and comparison -------------------------------------------
+    # -- measures and copies -----------------------------------------------
 
     def node_count(self, root):
         children = self.children
@@ -188,19 +188,6 @@ class Tree:
 
     def edge_count(self, root):
         return self.node_count(root) - 1
-
-    def same_structure(self, root, other, other_root):
-        stack = [(root, other_root)]
-        while stack:
-            a, b = stack.pop()
-            if self.labels[a] != other.labels[b]:
-                return False
-            ka = self.children[a]
-            kb = other.children[b]
-            if len(ka) != len(kb):
-                return False
-            stack.extend(zip(ka, kb))
-        return True
 
     def copy_subtree(self, root):
         """Copy the subtree at ``root`` to fresh nodes; returns the new root."""
@@ -234,20 +221,6 @@ class BinaryTree:
     @property
     def node_count(self):
         return self.tree.node_count(self.root)
-
-    def same_structure(self, other):
-        return self.tree.same_structure(self.root, other.tree, other.root)
-
-    def validate(self):
-        """Check rank/children consistency; raises AssertionError."""
-        t = self.tree
-        for v in t.iter_postorder(self.root):
-            label = t.labels[v]
-            assert label is not None, "dead node reachable"
-            assert len(t.children[v]) == label.rank, (
-                "node %d: %r has %d children" % (v, label, len(t.children[v])))
-            for i, c in enumerate(t.children[v]):
-                assert t.parents[c] == v and t.pindex[c] == i + 1
 
 
 def parse_xml(data) -> BinaryTree:

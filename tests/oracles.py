@@ -2,7 +2,9 @@
 
 Everything here is deliberately written with a different approach than the
 package under test (plain recursion, ElementTree, textbook formulas) so a
-shared bug cannot hide.
+shared bug cannot hide.  The structural checks and readers that only tests
+call (``validate_grammar``, ``same_structure``, ``occurrence_nodes``) live
+here too, not in the package.
 """
 
 import heapq
@@ -11,6 +13,7 @@ from fractions import Fraction
 
 from treerepair import (PARAMETER, ChildrenCharacteristic, DecodeError, Nonterminal,
                         decode, decompress_tree, serialize_xml)
+from treerepair.digram_index import END
 
 
 def element_shape(data):
@@ -121,6 +124,85 @@ def max_nonoverlapping(tree, root, parent_sym, index, child_sym):
             cur = occ[cur]
         total += (m + 1) // 2
     return total
+
+
+def occurrence_nodes(idx, parent, index, child):
+    """Parent nodes of a digram's listed occurrences in a DigramIndex,
+    oldest first; the record is the one whose head edge has the digram."""
+    for r in idx.records.values():
+        if idx.count[r] and idx.digram(r) == (parent, index, child):
+            out = []
+            c = idx._head[r]
+            while c != END:
+                out.append(idx.g.arena.parents[c])
+                c = idx._next[c]
+            return out
+    return []
+
+
+def same_structure(bt, other):
+    """Whether two BinaryTrees have equal labels in equal shapes."""
+    stack = [(bt.root, other.root)]
+    while stack:
+        a, b = stack.pop()
+        if bt.tree.labels[a] != other.tree.labels[b]:
+            return False
+        ka = bt.tree.children[a]
+        kb = other.tree.children[b]
+        if len(ka) != len(kb):
+            return False
+        stack.extend(zip(ka, kb))
+    return True
+
+
+def validate_tree(bt):
+    """Check a BinaryTree's rank/children consistency; raises AssertionError."""
+    t = bt.tree
+    for v in t.iter_postorder(bt.root):
+        label = t.labels[v]
+        assert label is not None, "dead node reachable"
+        assert len(t.children[v]) == label.rank, (
+            "node %d: %r has %d children" % (v, label, len(t.children[v])))
+        for i, c in enumerate(t.children[v]):
+            assert t.parents[c] == v and t.pindex[c] == i + 1
+
+
+def validate_grammar(g):
+    """Check an SlcfGrammar's invariants; raises AssertionError.
+
+    Every production is owned by its root, ranks match child counts,
+    references are registered in ``refs``, each rhs has as many parameters
+    as its rank and is not a bare parameter, every non-start production is
+    used, and the grammar is acyclic.
+    """
+    t = g.arena
+    assert g.start_id in g.productions
+    seen_refs = {i: 0 for i in g.productions}
+    for i, prod in g.productions.items():
+        assert prod.nt.id == i
+        assert t.parents[prod.root] == -1
+        assert g.root_to_prod[prod.root] == i
+        y = 0
+        for v in t.iter_postorder(prod.root):
+            label = t.labels[v]
+            assert label is not None
+            if label is PARAMETER:
+                y += 1
+                continue
+            assert len(t.children[v]) == label.rank
+            if isinstance(label, Nonterminal):
+                assert label.id in g.productions, "dangling reference"
+                assert v in g.refs[label.id]
+                seen_refs[label.id] += 1
+        assert y == prod.nt.rank, "parameter count != rank"
+        assert t.labels[prod.root] is not PARAMETER
+    for i in g.productions:
+        assert seen_refs[i] == len(g.refs[i])
+        if i != g.start_id:
+            assert seen_refs[i] >= 1, "unreferenced nonterminal"
+        else:
+            assert seen_refs[i] == 0
+    g.hierarchical_order()  # raises if cyclic
 
 
 def rle_expand(tokens, n):
@@ -285,21 +367,13 @@ def _xml_rooted(g):
     """Raise DecodeError unless g's value has an XML-origin root.
 
     The root label is found without unfolding: the walk follows rhs roots
-    into productions.  A parameter met on the way is the first one of its
-    rhs (every node visited lies on the leftmost path of its rhs), so it
-    stands for the first child of the reference that led there.
+    into productions.  No rhs is a bare parameter, so the first terminal
+    met is the value's root.
     """
     t = g.arena
-    v, uses = g.start().root, None  # uses: (reference node, outer uses)
-    label = t.labels[v]
-    while label is PARAMETER or isinstance(label, Nonterminal):
-        if label is PARAMETER:
-            ref, uses = uses
-            v = t.children[ref][0]
-        else:
-            uses = (v, uses)
-            v = g.productions[label.id].root
-        label = t.labels[v]
+    label = t.labels[g.start().root]
+    while isinstance(label, Nonterminal):
+        label = t.labels[g.productions[label.id].root]
     if label.characteristic != ChildrenCharacteristic.NO_RIGHT_CHILD:
         raise DecodeError("derived root has characteristic %s, not an "
                           "XML-origin tree" % label.characteristic.bits)

@@ -4,6 +4,7 @@ from treerepair import build_dag_grammar, parse_xml
 from treerepair.fixtures import gen_perfect_binary
 
 from conftest import BOOKS, make_grammar, random_xml, ranked_bt
+from oracles import same_structure, validate_grammar
 
 BOOKS_DAG_TEXT = (
     "A_1 -> author^01(title^01(isbn^00))\n"
@@ -17,7 +18,7 @@ class TestSharing:
         assert g.canonical_text() == BOOKS_DAG_TEXT
         assert g.grammar_size() == 12
         assert g.nonterminal_count == 2
-        g.validate()
+        validate_grammar(g)
 
     def test_repeated_subtree_with_inner_repeat(self):
         sub = ("f/2", ["a/0", ("f/2", ["a/0", "a/0"])])
@@ -34,7 +35,7 @@ class TestSharing:
             g = build_dag_grammar(gen_perfect_binary(d))
             assert g.nonterminal_count == d
             assert g.grammar_size() == 2 * d
-            g.validate()
+            validate_grammar(g)
 
     def test_leaves_are_never_shared(self):
         g = build_dag_grammar(ranked_bt(("f/2", ["a/0", "a/0"])))
@@ -73,12 +74,12 @@ class TestCollapse:
             "A_1 -> e/1(a/0)\nS -> s/3(g/2(c/0,f/2(a/0,b/0)),A_1,A_1)")
         assert list(g.productions) == [nts["E"].id, nts["S"].id]
         assert len(g.arena) == arena_size
-        assert g.unfold_value().same_structure(want)
-        g.validate()
+        assert same_structure(g.unfold_value(), want)
+        validate_grammar(g)
 
     def test_value_is_preserved(self):
         for seed in range(25):
             data = random_xml(seed + 7, 120)
             g = build_dag_grammar(parse_xml(data))
-            g.validate()
-            assert g.unfold_value().same_structure(parse_xml(data)), data
+            validate_grammar(g)
+            assert same_structure(g.unfold_value(), parse_xml(data)), data

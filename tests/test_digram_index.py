@@ -4,13 +4,13 @@ import pytest
 
 from treerepair import (ChildrenCharacteristic, build_dag_grammar, build_index,
                         compute_occurrences, parse_xml, run_replacement_step)
-from treerepair.digram_index import END, FREE
+from treerepair.digram_index import _BITS, END, FREE
 from treerepair.fixtures import gen_perfect_binary
 from treerepair.replacer import pattern_tree, replace_occurrence
 from treerepair.slcf_grammar import SlcfGrammar
 
 from conftest import BOOKS, make_grammar, random_xml, ranked, ranked_bt
-from oracles import max_nonoverlapping
+from oracles import max_nonoverlapping, occurrence_nodes, validate_grammar
 
 CC = ChildrenCharacteristic
 
@@ -42,7 +42,7 @@ class TestInitialCounts:
             (cterm("book", "10"), 1, cterm("author", "01")): 1,
         }
         for (parent, i, child), count in expected.items():
-            assert len(idx.occurrence_nodes(parent, i, child)) == count, (
+            assert len(occurrence_nodes(idx, parent, i, child)) == count, (
                 parent, i, child)
 
     def test_books_first_pop_takes_the_oldest_tie(self):
@@ -68,7 +68,7 @@ class TestInitialCounts:
         g = SlcfGrammar.from_tree(ranked_bt(chain("f/1", 6)))
         idx = build_index(g)
         f = ranked("f/1")
-        assert len(idx.occurrence_nodes(f, 1, f)) == 3
+        assert len(occurrence_nodes(idx, f, 1, f)) == 3
         assert max_nonoverlapping(g.arena, g.start().root, f, 1, f) == 3
 
     def test_perfect_tree_right_slot_occurrences(self):
@@ -97,7 +97,7 @@ class TestRankBound:
         f, a = cterm("f", "11"), cterm("a", "00")
         g = SlcfGrammar.from_tree(gen_perfect_binary(3))
         idx = build_index(g)
-        assert len(idx.occurrence_nodes(f, 1, f)) == 2
+        assert len(occurrence_nodes(idx, f, 1, f)) == 2
         g = SlcfGrammar.from_tree(gen_perfect_binary(3))
         idx = build_index(g, max_rank=1)
         r = idx.pop_most_frequent()
@@ -114,15 +114,18 @@ class TestRankBound:
             ("f/2", ["b2/0", ("f/2", ["c2/0", "d2/0"])]),
             ("f/2", ["b3/0", ("f/2", ["c3/0", "d3/0"])]),
         ])
-        g = SlcfGrammar.from_tree(ranked_bt(spec))
-        idx = build_index(g, max_rank=2)
         f = ranked("f/2")
-        assert len(idx.occurrence_nodes(f, 2, f)) == 3
-        assert idx.pop_most_frequent() is None
         g = SlcfGrammar.from_tree(ranked_bt(spec))
         idx = build_index(g)
+        assert len(occurrence_nodes(idx, f, 2, f)) == 3
         r = idx.pop_most_frequent()
         assert idx.digram(r) == (f, 2, f)
+        # (f,2,f) would need a rank-3 pattern: the bounded index lists
+        # none of its occurrences, so nothing is offered
+        g = SlcfGrammar.from_tree(ranked_bt(spec))
+        idx = build_index(g, max_rank=2)
+        assert occurrence_nodes(idx, f, 2, f) == []
+        assert idx.pop_most_frequent() is None
 
 
 class TestSharedProductions:
@@ -133,7 +136,7 @@ class TestSharedProductions:
         ], dag={"A"})
         idx = build_index(g)
         f = ranked("f/2")
-        assert len(idx.occurrence_nodes(f, 2, f)) == 2
+        assert len(occurrence_nodes(idx, f, 2, f)) == 2
         # the flattened tree chains through the shared subtree twice, so the
         # sharing-aware index undercounts against the unfolded optimum
         bt = g.unfold_value()
@@ -148,8 +151,8 @@ class TestSharedProductions:
         idx = build_index(g)
         s_root = g.start().root
         f, gsym = ranked("f/2"), ranked("g/3")
-        assert idx.occurrence_nodes(f, 1, gsym) == [s_root]
-        assert idx.occurrence_nodes(f, 2, gsym) == [s_root]
+        assert occurrence_nodes(idx, f, 1, gsym) == [s_root]
+        assert occurrence_nodes(idx, f, 2, gsym) == [s_root]
 
 
 class TestIncrementalMaintenance:
@@ -159,25 +162,32 @@ class TestIncrementalMaintenance:
         )
         idx = build_index(g)
         f, c = ranked("f/2"), ranked("c/0")
-        assert len(idx.occurrence_nodes(f, 2, f)) == 1
-        [v] = idx.occurrence_nodes(f, 1, c)
+        assert len(occurrence_nodes(idx, f, 2, f)) == 1
+        [v] = occurrence_nodes(idx, f, 1, c)
         a = g.new_nonterminal(f.rank + c.rank - 1, is_dag=False)
         g.add_production(a, pattern_tree(g, f, 1, c))
         replace_occurrence(g, idx, v, 1, a)
-        g.validate()
+        validate_grammar(g)
         # the maintained set is now empty although the rewritten tree
         # still contains one occurrence
-        assert idx.occurrence_nodes(f, 2, f) == []
+        assert occurrence_nodes(idx, f, 2, f) == []
         root = g.start().root
         assert len(compute_occurrences(g.arena, root, f, 2, f)) == 1
 
 
 def check_index(idx, max_rank):
-    """Occurrence lists, counts and queue placement agree with the arena."""
+    """Occurrence lists, counts and queue placement agree with the arena;
+    every record is within the rank bound."""
     g = idx.g
     ar = g.arena
+    # a record key packs (parent id, child id, index); ids are pre-shifted
+    sym = {s >> _BITS: x for x, s in idx._sid.items()}
+    mask = (1 << _BITS) - 1
     listed = set()
     for key, r in idx.records.items():
+        parent, index, child = (sym[key >> 2 * _BITS], key & mask,
+                                sym[key >> _BITS & mask])
+        assert max_rank is None or parent.rank + child.rank - 1 <= max_rank
         entries = []
         prev, c = END, idx._head[r]
         while c != END:
@@ -187,24 +197,23 @@ def check_index(idx, max_rank):
             prev, c = c, idx._next[c]
         assert idx._tail[r] == prev
         assert len(entries) == idx.count[r]
+        if not entries:
+            continue
+        # every entry has the head's digram, which is the key's
+        want = idx.digram(r)
+        assert want == (parent, index, child)
         for c in entries:
             p, i = ar.parents[c], ar.pindex[c]
             assert ar.labels[c] is not None and p != -1
             assert ar.children[p][i - 1] == c
-            assert idx._key(ar.labels[p], i, g.resolve_label(ar.labels[c])) == key
+            assert (ar.labels[p], i, g.resolve_label(ar.labels[c])) == want
         listed.update(entries)
     assert listed == {c for c, r in enumerate(idx._slot) if r != FREE}
 
     limit = idx.bucket_limit
     placed = [r for b in range(2, limit) for r in idx.buckets[b]] + list(idx.top)
     assert len(placed) == len(set(placed))
-    want = set()
-    for r in idx.records.values():
-        if idx.count[r] >= 2:
-            parent, _, child = idx.digram(r)
-            if max_rank is None or parent.rank + child.rank - 1 <= max_rank:
-                want.add(r)
-    assert set(placed) == want
+    assert set(placed) == {r for r in idx.records.values() if idx.count[r] >= 2}
     for b in range(2, limit):
         assert all(idx.count[r] == b for r in idx.buckets[b])
     assert all(idx.count[r] >= limit for r in idx.top)
@@ -228,5 +237,5 @@ class TestRunInvariants:
 
             idx.pop_most_frequent = checked_pop
             rounds += len(run_replacement_step(g, idx))
-            g.validate()
+            validate_grammar(g)
         assert rounds > 250

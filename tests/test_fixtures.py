@@ -5,7 +5,7 @@ import pytest
 from treerepair import ChildrenCharacteristic, SlcfGrammar, compress_tree, decompress_tree
 from treerepair.fixtures import gen_M, gen_perfect_binary, gen_U
 
-from oracles import binary_shape, postorder_nodes
+from oracles import binary_shape, postorder_nodes, validate_grammar, validate_tree
 
 
 class TestPerfect:
@@ -87,4 +87,5 @@ class TestRoundtrips:
 
     def test_generated_trees_make_valid_grammars(self):
         for bt in (gen_perfect_binary(4), gen_M(1), gen_U(4)):
-            SlcfGrammar.from_tree(bt).validate()
+            validate_tree(bt)
+            validate_grammar(SlcfGrammar.from_tree(bt))

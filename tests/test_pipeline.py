@@ -111,38 +111,74 @@ class TestValueSizeBound:
         assert peak < 2 ** 20
 
 
-def bare_parameter_stream(root_char):
-    """Stream of S -> B(r(..)), B(y) -> A(y), A(y) -> y: the value's
-    root is r, reached through two parameters."""
+def identity_chain_stream(k):
+    """Stream of A_0(y) -> y, A_i(y) -> A_(i-1)(A_(i-1)(y)) for i = 1..k and
+    S -> r(A_k(a)): the value <r><a/></r>, derived through 2**k references.
+    A_0's body is a bare parameter, which the encoder never writes."""
+    r = TerminalSymbol("r", ChildrenCharacteristic.NO_RIGHT_CHILD)
+    a = TerminalSymbol("a", ChildrenCharacteristic.NO_CHILDREN)
+    g = SlcfGrammar(Tree(), [r, a])
+    prev = g.new_nonterminal(1, is_dag=False)
+    g.add_production(prev, g.new_node(PARAMETER))
+    for _ in range(k):
+        nt = g.new_nonterminal(1, is_dag=False)
+        outer, inner = g.new_node(prev), g.new_node(prev)
+        g.arena.set_children(inner, [g.new_node(PARAMETER)])
+        g.arena.set_children(outer, [inner])
+        g.add_production(nt, outer)
+        prev = nt
+    s, use = g.new_node(r), g.new_node(prev)
+    g.arena.set_children(use, [g.new_node(a)])
+    g.arena.set_children(s, [use])
+    g.add_production(g.new_nonterminal(0, is_dag=False), s, start=True)
+    return encode(g)
+
+
+def reference_root_stream(root_char):
+    """Stream of S -> B(a..), B(y..) -> A(y..), A(y..) -> r(y..): the
+    value's root is r, reached through two references."""
     r = TerminalSymbol("r", root_char)
     a = TerminalSymbol("a", ChildrenCharacteristic.NO_CHILDREN)
     g = SlcfGrammar(Tree(), [r, a])
-    A = g.new_nonterminal(1, is_dag=False)
-    g.add_production(A, g.new_node(PARAMETER))
-    B = g.new_nonterminal(1, is_dag=False)
-    b = g.new_node(A)
-    g.arena.set_children(b, [g.new_node(PARAMETER)])
-    g.add_production(B, b)
-    s, top = g.new_node(B), g.new_node(r)
-    g.arena.set_children(top, [g.new_node(a) for _ in range(r.rank)])
-    g.arena.set_children(s, [top])
+    A = g.new_nonterminal(r.rank, is_dag=False)
+    body = g.new_node(r)
+    g.arena.set_children(body, [g.new_node(PARAMETER) for _ in range(r.rank)])
+    g.add_production(A, body)
+    B = g.new_nonterminal(r.rank, is_dag=False)
+    body = g.new_node(A)
+    g.arena.set_children(body, [g.new_node(PARAMETER) for _ in range(r.rank)])
+    g.add_production(B, body)
+    s = g.new_node(B)
+    g.arena.set_children(s, [g.new_node(a) for _ in range(r.rank)])
     g.add_production(g.new_nonterminal(0, is_dag=False), s, start=True)
     return encode(g)
 
 
 class TestDerivedRoot:
-    def test_root_is_found_through_parameters(self):
-        blob = bare_parameter_stream(ChildrenCharacteristic.NO_RIGHT_CHILD)
+    def test_root_is_found_through_references(self):
+        blob = reference_root_stream(ChildrenCharacteristic.NO_RIGHT_CHILD)
         assert decompress_bytes(blob) == b"<r><a/></r>"
 
     @pytest.mark.parametrize("char", [ChildrenCharacteristic.TWO_CHILDREN,
                                       ChildrenCharacteristic.NO_CHILDREN],
                              ids=["11", "00"])
     def test_non_xml_root_is_a_decode_error(self, char):
-        blob = bare_parameter_stream(char)
+        blob = reference_root_stream(char)
         assert decompress_tree(blob).node_count == 1 + char.rank
         with pytest.raises(DecodeError, match="characteristic"):
             decompress_bytes(blob)
+
+    @pytest.mark.parametrize("k", [1, 40])
+    def test_bare_parameter_body_is_a_decode_error(self, k):
+        # at k = 40, 2**40 references would derive the one-node value; the
+        # body of A_0 stops the decoder first
+        blob = identity_chain_stream(k)
+        assert len(blob) < 128
+        started = time.perf_counter()
+        for decompress in (decompress_tree, decompress_bytes):
+            with pytest.raises(DecodeError, match="bare parameter"):
+                decompress(blob)
+        assert time.perf_counter() - started < 0.5
 
 
 @pytest.fixture

@@ -45,6 +45,7 @@ from oracles import (
     prefix_free,
     rle_expand,
     run_length_decode_dense,
+    validate_grammar,
 )
 
 TAGS = st.sampled_from(["a", "b", "c", "d", "item"])
@@ -87,7 +88,7 @@ class TestGrammarStages:
         n_edges = before.edge_count
         g = build_grammar(parse_xml(doc), max_rank=max_rank,
                           optimize=optimize, use_dag=use_dag)
-        g.validate()
+        validate_grammar(g)
         assert g.grammar_size() <= n_edges
         # the value-size bound is exact: a cap of the node count admits it
         nodes = before.node_count

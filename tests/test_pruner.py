@@ -5,6 +5,7 @@ from treerepair.pruner import EDGES_THRESHOLD, FILESIZE_THRESHOLD
 from treerepair.slcf_grammar import SlcfGrammar
 
 from conftest import BOOKS, make_grammar, ranked_bt
+from oracles import same_structure, validate_grammar
 
 
 def three_production_grammar():
@@ -42,7 +43,7 @@ class TestEliminationOrder:
             "S -> f/2(f/2(A_1(a/0),a/0),A_1(f/2(A_1(a/0),a/0)))"
         )
         assert g.grammar_size() == 11
-        g.validate()
+        validate_grammar(g)
 
     def test_supplier_first_order_would_end_larger(self):
         g, nts = three_production_grammar()
@@ -55,7 +56,7 @@ class TestEliminationOrder:
             "S -> f/2(f/2(f/2(a/0,a/0),a/0),f/2(f/2(f/2(a/0,a/0),a/0),a/0))"
         )
         assert g.grammar_size() == 12
-        assert g.unfold_value().same_structure(want)
+        assert same_structure(g.unfold_value(), want)
 
     def test_savings_are_recomputed_after_each_elimination(self):
         # the fourth replacement nonterminal starts with sav 0 and falls;

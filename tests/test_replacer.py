@@ -5,6 +5,7 @@ from treerepair.replacer import pattern_tree, replace_occurrence
 from treerepair.slcf_grammar import SlcfGrammar
 
 from conftest import BOOKS, make_grammar, random_xml, ranked, ranked_bt
+from oracles import occurrence_nodes, same_structure, validate_grammar
 from test_slcf_grammar import G4_TEXT
 
 
@@ -22,8 +23,8 @@ class TestPlainReplacement:
         assert [nt.rank for nt in created] == [0, 0, 1, 1]
         assert g.canonical_text() == G4_TEXT
         assert g.grammar_size() == 10
-        g.validate()
-        assert g.unfold_value().same_structure(parse_xml(BOOKS))
+        validate_grammar(g)
+        assert same_structure(g.unfold_value(), parse_xml(BOOKS))
 
     def test_chain_tolerates_transient_overlap(self):
         g = SlcfGrammar.from_tree(ranked_bt(chain("f/1", 6)))
@@ -31,9 +32,9 @@ class TestPlainReplacement:
         assert g.canonical_text() == (
             "A_1(y) -> f/1(f/1(y))\nA_2(y) -> A_1(A_1(y))\nS -> A_1(A_2(a/0))"
         )
-        g.validate()
+        validate_grammar(g)
         want = ranked_bt(chain("f/1", 6))
-        assert g.unfold_value().same_structure(want)
+        assert same_structure(g.unfold_value(), want)
 
     def test_rank_bound_is_respected(self):
         for seed in range(15):
@@ -41,15 +42,15 @@ class TestPlainReplacement:
                 g = SlcfGrammar.from_tree(parse_xml(random_xml(seed, 90)))
                 created = run_replacement_step(g, build_index(g, max_rank=bound))
                 assert all(nt.rank <= bound for nt in created)
-                g.validate()
+                validate_grammar(g)
 
     def test_value_preserved_on_random_trees(self):
         for seed in range(30):
             data = random_xml(seed + 500, 150)
             g = SlcfGrammar.from_tree(parse_xml(data))
             run_replacement_step(g, build_index(g))
-            g.validate()
-            assert g.unfold_value().same_structure(parse_xml(data)), data
+            validate_grammar(g)
+            assert same_structure(g.unfold_value(), parse_xml(data)), data
 
 
 class TestSharedChild:
@@ -65,7 +66,7 @@ class TestSharedChild:
         ], dag={"A"})
         idx = build_index(g)
         f, h = ranked("f/2"), ranked("h/2")
-        [v] = idx.occurrence_nodes(f, 2, h)
+        [v] = occurrence_nodes(idx, f, 2, h)
         a = g.new_nonterminal(f.rank + h.rank - 1, is_dag=False)
         assert a.rank == 3
         g.add_production(a, pattern_tree(g, f, 2, h))
@@ -78,8 +79,8 @@ class TestSharedChild:
             "S -> A_1(g/2(a/0,A_4),A_2,A_3)"
         )
         assert g.grammar_size() == 11
-        g.validate()
-        assert g.unfold_value().same_structure(want)
+        validate_grammar(g)
+        assert same_structure(g.unfold_value(), want)
 
     def test_singly_referenced_child_is_inlined(self):
         g, _ = make_grammar([
@@ -93,7 +94,7 @@ class TestSharedChild:
         ], dag={"A"})
         idx = build_index(g)
         f, gsym = ranked("f/2"), ranked("g/2")
-        [v] = idx.occurrence_nodes(f, 1, gsym)
+        [v] = occurrence_nodes(idx, f, 1, gsym)
         a = g.new_nonterminal(f.rank + gsym.rank - 1, is_dag=False)
         g.add_production(a, pattern_tree(g, f, 1, gsym))
         replace_occurrence(g, idx, v, 1, a)
@@ -101,8 +102,8 @@ class TestSharedChild:
             "A_1(y,y,y) -> f/2(g/2(y,y),y)\nS -> A_1(a/0,b/0,c/0)"
         )
         assert g.nonterminal_count == 2
-        g.validate()
-        assert g.unfold_value().same_structure(want)
+        validate_grammar(g)
+        assert same_structure(g.unfold_value(), want)
 
     def test_replacement_over_shared_layers_preserves_value(self):
         from treerepair import build_dag_grammar
@@ -111,5 +112,5 @@ class TestSharedChild:
             data = random_xml(seed + 900, 150)
             g = build_dag_grammar(parse_xml(data))
             run_replacement_step(g, build_index(g))
-            g.validate()
-            assert g.unfold_value().same_structure(parse_xml(data)), data
+            validate_grammar(g)
+            assert same_structure(g.unfold_value(), parse_xml(data)), data

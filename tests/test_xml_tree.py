@@ -6,7 +6,8 @@ from treerepair import ChildrenCharacteristic, ParseError, UnsupportedInputError
 from treerepair.xml_tree import BinaryTree, TerminalSymbol, Tree
 
 from conftest import BOOKS, random_xml
-from oracles import binary_shape, element_shape, fcns_shape, postorder_nodes
+from oracles import (binary_shape, element_shape, fcns_shape, postorder_nodes,
+                     same_structure)
 
 CC = ChildrenCharacteristic
 
@@ -84,7 +85,7 @@ class TestParse:
     def test_attributes_text_and_comments_are_ignored(self):
         plain = parse_xml(b"<a><b/><c/></a>")
         noisy = parse_xml(b'<a x="1">text<b y="2"/>tail<!-- note --><c/>more</a>')
-        assert noisy.same_structure(plain)
+        assert same_structure(noisy, plain)
         assert [t.name for t in noisy.terminal_order] == [t.name for t in plain.terminal_order]
 
     def test_declaration_and_unicode_names(self):
@@ -160,11 +161,11 @@ class TestArena:
         new_root = t.copy_subtree(root)
         assert t.node_count(new_root) == 7
         assert all(v >= n for v in t.iter_postorder(new_root))
-        assert BinaryTree(t, new_root, []).same_structure(BinaryTree(t, root, []))
+        assert same_structure(BinaryTree(t, new_root, []), BinaryTree(t, root, []))
 
     def test_same_structure_detects_differences(self):
         t, root = self._sample()
         u, uroot = self._sample()
-        assert BinaryTree(t, root, []).same_structure(BinaryTree(u, uroot, []))
+        assert same_structure(BinaryTree(t, root, []), BinaryTree(u, uroot, []))
         u.labels[u.children[uroot][0]] = TerminalSymbol("g", rank=2)
-        assert not BinaryTree(t, root, []).same_structure(BinaryTree(u, uroot, []))
+        assert not same_structure(BinaryTree(t, root, []), BinaryTree(u, uroot, []))
