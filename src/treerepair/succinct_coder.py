@@ -165,7 +165,9 @@ class CanonicalDecoder:
     (Moffat & Turpin, IEEE Trans. Comm. 1997): code words longer than w,
     prefixes no code word starts with (incomplete codes) and code words cut
     off by the end of the input.  Either way the reader ends where a
-    bit-by-bit walk would, and raises the same errors.
+    bit-by-bit walk would, and raises the same errors.  ``read_block``
+    decodes a run of code words with no call per code word, and hands what
+    the lookup cannot settle to ``read``: it reads what ``read`` calls would.
     """
 
     def __init__(self, lengths):
@@ -201,6 +203,45 @@ class CanonicalDecoder:
         if length > reader.remaining_bits:
             return self._read_long(reader)
         reader.skip(length)
+        return sym
+
+    def read_block(self, reader: BitReader, out, deltas, balance, limit):
+        """Append symbols to ``out`` until ``balance`` reaches 0.
+
+        Each symbol s adds ``deltas[s]`` to the balance.  The read also
+        stops right after a symbol over ``limit`` or one whose delta is
+        None, and returns that symbol without appending it; otherwise it
+        returns None.  On an error, ``out`` holds the symbols before it.
+        """
+        lookup, width, read = self._lookup, self._width, self.read
+        mask = (1 << width) - 1
+        data, append = reader._data, out.append
+        # a window on the reader's bytes: the low ``have`` bits of ``acc`` are
+        # the input from bit (byte << 3) - have; refills drop a negative have
+        pos = reader._pos
+        byte, have, acc = pos >> 3, -(pos & 7), 0
+        while balance > 0:
+            if have < width:
+                chunk = data[byte:byte + 8]
+                byte += len(chunk)
+                have += len(chunk) << 3
+                acc = (acc << 8 * len(chunk) | int.from_bytes(chunk, "big")) & ((1 << have) - 1)
+            # fewer bits than the lookup width are left only at the end
+            sym, length = lookup[acc >> (have - width) & mask] if have >= width else _UNASSIGNED
+            if length > have:
+                reader._pos = (byte << 3) - have
+                sym = read(reader)
+                pos = reader._pos
+                byte, have, acc = pos >> 3, -(pos & 7), 0
+            else:
+                have -= length
+            if sym > limit or (d := deltas[sym]) is None:
+                break
+            append(sym)
+            balance += d
+        else:
+            sym = None
+        reader._pos = (byte << 3) - have
         return sym
 
     def _read_long(self, reader: BitReader):

@@ -2,14 +2,25 @@
 
 Inverse of :mod:`treerepair.succinct_coder`.  Every malformed input is
 reported as :class:`DecodeError`; no input may crash or hang the decoder.
+
+Each characteristic block, the names section and each production body is
+one ``CanonicalDecoder.read_block`` whose balance ends the block: ids count
+-1 against the block's count, ETX bytes -1 against the terminal count, body
+ids rank - 1 against 1.  Faults get the messages and the order a read per
+value would give them.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .bitio import BitReader, BitstreamEnd
 from .xml_tree import ETX, ChildrenCharacteristic, TerminalSymbol, Tree
 from .slcf_grammar import PARAMETER, SlcfGrammar
 from .succinct_coder import FIELD_BITS, MAX_CODE_BITS, CanonicalDecoder, DecodeError
+
+# name-section deltas: each ETX ends one of the names the read counts down
+_NAME_DELTAS = tuple(-(b == ETX) for b in range(256))
 
 
 def run_length_decode(reader, super_decoder, n, expected) -> dict:
@@ -58,52 +69,36 @@ def run_length_decode(reader, super_decoder, n, expected) -> dict:
     return lengths
 
 
-class _PendingNode:
-    __slots__ = ("node", "rank", "kids")
-
-    def __init__(self, node, rank):
-        self.node = node
-        self.rank = rank
-        self.kids = []
-
-
-def _parse_body(reader, decoder, grammar, symbols, max_id):
+def _parse_body(reader, decoder, grammar, symbols, deltas, parameter_id):
     """Parse one production body written as a preorder id sequence.
 
-    Returns (root node, parameter count).  Ranks are implied by the symbols,
-    so the body is complete exactly when every node has its children.  A
-    body that is a bare parameter (``A(y) -> y``) is rejected: the encoder
-    never writes one, and a chain of references through it would derive
-    a small value from an exponentially long walk.
+    ``symbols`` and ``deltas`` give each id's symbol and rank - 1 (None for
+    id 0).  The body is complete exactly when every node has its children,
+    when the balance, 1 plus the deltas, reaches 0.  The nodes are made in
+    preorder, then a reverse pass over a node stack gives each its children.
+
+    Returns (root node, parameter count).  A body that is a bare
+    parameter (``A(y) -> y``) is rejected: the encoder never writes one,
+    and a chain of references through it would derive a small value from
+    an exponentially long walk.
     """
-    t = grammar.arena
-    y_count = 0
-    root = None
-    pending = []
-    while True:
-        sid = decoder.read(reader)
-        if not 1 <= sid <= max_id:
-            raise DecodeError("symbol id %d out of range" % sid)
-        sym = symbols[sid]
-        if sym is PARAMETER:
-            if root is None:
-                raise DecodeError("production body is a bare parameter")
-            y_count += 1
-            rank = 0
-        else:
-            rank = sym.rank
-        v = grammar.new_node(sym)
-        if root is None:
-            root = v
-        else:
-            pending[-1].kids.append(v)
+    ids = []
+    bad = decoder.read_block(reader, ids, deltas, 1, len(deltas) - 1)
+    if bad is not None:
+        raise DecodeError("symbol id %d out of range" % bad)
+    if ids[0] == parameter_id:
+        raise DecodeError("production body is a bare parameter")
+    new_node, set_children = grammar.new_node, grammar.arena.set_children
+    nodes = [new_node(symbols[sid]) for sid in ids]
+    stack = []
+    for v, sid in zip(reversed(nodes), reversed(ids)):
+        rank = deltas[sid] + 1
         if rank:
-            pending.append(_PendingNode(v, rank))
-        while pending and len(pending[-1].kids) == pending[-1].rank:
-            done = pending.pop()
-            t.set_children(done.node, done.kids)
-        if not pending:
-            return root, y_count
+            # v's first child was pushed last, so it is on top
+            set_children(v, stack[:-rank - 1:-1])
+            del stack[-rank:]
+        stack.append(v)
+    return nodes[0], ids.count(parameter_id)
 
 
 def decode(data: bytes) -> SlcfGrammar:
@@ -146,60 +141,73 @@ def _decode(reader) -> SlcfGrammar:
             run_length_decode(reader, super_decoder, n, count)))
     c1, c2, c3 = decoders
 
-    def read_c2():
-        return c2.read(reader)
-
-    n_terminals = read_c2()
+    n_terminals = c2.read(reader)
     if n_terminals < 1:
         raise DecodeError("no terminal symbols")
-    n_other = read_c2()
+    n_other = c2.read(reader)
 
+    # A block read that fails is re-raised after the values read before
+    # the failure are checked, so the first fault in the stream is reported.
     char_of = {}
     seen_tags = set()
+    # every id counts -1 and id 0 stops the read; a dict, as a list sized
+    # by the terminal count, unchecked against the input, could be huge
+    id_deltas = defaultdict(lambda: -1, {0: None})
     for _ in range(3):
         tag = reader.read(2)
         if tag not in (0, 1, 2) or tag in seen_tags:
             raise DecodeError("bad characteristic tag %d" % tag)
         seen_tags.add(tag)
-        count = read_c2()
-        for _ in range(count):
-            sid = read_c2()
-            if not 1 <= sid <= n_terminals or sid in char_of:
+        # more ids than unlisted terminals repeat one among the first unlisted + 1
+        count = min(c2.read(reader), n_terminals - len(char_of) + 1)
+        ids, failure = [], None
+        try:
+            bad = c2.read_block(reader, ids, id_deltas, count, n_terminals)
+        except (BitstreamEnd, DecodeError) as exc:
+            bad, failure = None, exc
+        for sid in ids:
+            if sid in char_of:
                 raise DecodeError("bad terminal id %d in characteristic block" % sid)
             char_of[sid] = ChildrenCharacteristic(tag)
+        if failure:
+            raise failure
+        if bad is not None:
+            raise DecodeError("bad terminal id %d in characteristic block" % bad)
 
-    terminals = []
-    seen_terms = set()
-    for sid in range(1, n_terminals + 1):
-        raw = bytearray()
-        while True:
-            b = c3.read(reader)
-            if b == ETX:
-                break
-            if b > 0xFF:
-                raise DecodeError("name byte %d out of range" % b)
-            raw.append(b)
-        char = char_of.get(sid, ChildrenCharacteristic.TWO_CHILDREN)
+    raw, failure = bytearray(), None
+    try:
+        bad = c3.read_block(reader, raw, _NAME_DELTAS, n_terminals, 0xFF)
+    except (BitstreamEnd, DecodeError) as exc:
+        bad, failure = None, exc
+    terminals = {}  # an ordered set: ids follow the insertion order
+    begin, end = 0, raw.find(ETX)
+    view = memoryview(raw)  # a name's str is its one copy
+    while end >= 0:
+        char = char_of.get(len(terminals) + 1, ChildrenCharacteristic.TWO_CHILDREN)
         try:
-            sym = TerminalSymbol(raw.decode("utf-8"), char)
+            sym = TerminalSymbol(str(view[begin:end], "utf-8"), char)
         except (UnicodeDecodeError, ValueError) as exc:
             raise DecodeError("bad terminal name: %s" % exc) from None
-        if sym in seen_terms:
+        if sym in terminals:
             raise DecodeError("duplicate terminal %r" % sym)
-        seen_terms.add(sym)
-        terminals.append(sym)
+        terminals[sym] = None
+        begin, end = end + 1, raw.find(ETX, end + 1)
+    if failure:
+        raise failure
+    if bad is not None:
+        raise DecodeError("name byte %d out of range" % bad)
 
     grammar = SlcfGrammar(Tree(), terminals)
-    symbols = {i: sym for i, sym in enumerate(terminals, start=1)}
-    symbols[n_terminals + 1] = PARAMETER
-    max_id = n_terminals + 1
+    parameter_id = n_terminals + 1
+    symbols = [None, *terminals, PARAMETER]
+    deltas = [None, *[sym.rank - 1 for sym in terminals], -1]
     for k in range(n_other):
-        root, y_count = _parse_body(reader, c2, grammar, symbols, max_id)
+        root, y_count = _parse_body(reader, c2, grammar, symbols, deltas, parameter_id)
         nt = grammar.new_nonterminal(y_count, is_dag=False)
         grammar.add_production(nt, root)
-        max_id += 1
-        symbols[max_id] = nt
-    root, y_count = _parse_body(reader, c1, grammar, symbols, max_id)
+        symbols.append(nt)
+        deltas.append(y_count - 1)
+    root, y_count = _parse_body(reader, c1, grammar, symbols, deltas, parameter_id)
     if y_count:
         raise DecodeError("parameters in the start production")
     start = grammar.new_nonterminal(0, is_dag=False)

@@ -47,17 +47,18 @@ class ChildrenCharacteristic(enum.IntEnum):
     NO_RIGHT_CHILD = 0b10   # only a first child
     TWO_CHILDREN = 0b11
 
+    # int operators on the member: ``.value`` is a Python-level descriptor
     @property
     def rank(self) -> int:
-        return (self.value >> 1) + (self.value & 1)
+        return (self >> 1) + (self & 1)
 
     @property
     def has_first_child(self) -> bool:
-        return bool(self.value & 0b10)
+        return bool(self & 0b10)
 
     @property
     def has_next_sibling(self) -> bool:
-        return bool(self.value & 0b01)
+        return bool(self & 0b01)
 
     @property
     def bits(self) -> str:

@@ -327,6 +327,18 @@ def bitwise_reader(lengths):
     return read
 
 
+
+def read_block_by_reads(decoder, reader, out, deltas, balance, limit):
+    """``CanonicalDecoder.read_block`` as a loop of ``read`` calls under
+    the same stopping rule."""
+    while balance > 0:
+        sym = decoder.read(reader)
+        if sym > limit or deltas[sym] is None:
+            return sym
+        out.append(sym)
+        balance += deltas[sym]
+    return None
+
 def run_length_decode_dense(reader, super_decoder, n, expected):
     """The length table as a list of all ``expected`` entries, zeros too.
 

@@ -2,7 +2,8 @@
 
 Every refactor of the grammar construction is meant to keep the streams
 byte-identical; this test checks that on a spread of inputs under every
-flag combination.  A deliberate change of the grammars or of the stream
+flag combination, and that each stream decodes to a grammar that encodes
+back to it.  A deliberate change of the grammars or of the stream
 layout re-pins the digests: run this file as a script
 (``PYTHONPATH=src python tests/test_golden_streams.py``) and paste its
 output over ``GOLDEN``.
@@ -12,7 +13,7 @@ import hashlib
 
 import pytest
 
-from treerepair import compress_tree, parse_xml
+from treerepair import compress_tree, decode, encode, parse_xml
 from treerepair.fixtures import gen_M, gen_U
 
 from conftest import BOOKS, random_xml
@@ -43,11 +44,16 @@ GOLDEN = {
 }
 
 
-def streams_digest(make_tree):
-    """One digest over the streams of every flag combination, in order."""
+def streams(make_tree):
+    """The stream of every flag combination, in order."""
+    return [compress_tree(make_tree(), max_rank, optimize, use_dag)
+            for max_rank, optimize, use_dag in COMBOS]
+
+
+def streams_digest(blobs):
+    """One digest over ``blobs``."""
     h = hashlib.sha256()
-    for max_rank, optimize, use_dag in COMBOS:
-        blob = compress_tree(make_tree(), max_rank, optimize, use_dag)
+    for blob in blobs:
         h.update(len(blob).to_bytes(8, "big"))
         h.update(blob)
     return h.hexdigest()
@@ -55,9 +61,13 @@ def streams_digest(make_tree):
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_streams_match_the_pinned_digests(name):
-    assert streams_digest(INPUTS[name]) == GOLDEN[name]
+    blobs = streams(INPUTS[name])
+    assert streams_digest(blobs) == GOLDEN[name]
+    # the decoder reads back the grammar the encoder wrote
+    for blob in blobs:
+        assert encode(decode(blob)) == blob
 
 
 if __name__ == "__main__":
     for name, make in INPUTS.items():
-        print('    "%s": "%s",' % (name, streams_digest(make)))
+        print('    "%s": "%s",' % (name, streams_digest(streams(make))))

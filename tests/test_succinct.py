@@ -3,11 +3,14 @@
 import random
 import time
 import tracemalloc
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from treerepair import decode, encode, parse_xml
+from treerepair import (compress_xml_bytes, decode, decompress_bytes, encode,
+                        parse_xml, succinct_coder)
 from treerepair.pipeline import build_grammar
 from treerepair.succinct_coder import (
     DecodeError,
@@ -26,8 +29,8 @@ from treerepair.bitio import BitReader, BitstreamEnd, bits_to_bytes
 from treerepair.slcf_grammar import PARAMETER
 
 from conftest import BOOKS, BOOKS_VALUES, flat_values, make_grammar, read_header
-from oracles import (bitwise_reader, huffman_cost, kraft_sum, prefix_free, rle_expand,
-                     same_structure, validate_grammar)
+from oracles import (bitwise_reader, huffman_cost, kraft_sum, prefix_free, read_block_by_reads,
+                     rle_expand, same_structure, validate_grammar)
 
 
 def books_grammar():
@@ -126,6 +129,18 @@ def prefix_codes(draw):
     return dict(zip(syms, depths))
 
 
+def code_stream(lengths, picks, noise, cut, skip):
+    """``skip`` one bits, the code words of ``picks`` (small picks are the
+    longest ones), then the bits of ``noise``, maybe cut at a random bit."""
+    texts = canonical_codes(lengths)
+    syms = sorted(texts, key=lambda s: (-lengths[s], s))
+    bits = "1" * skip + "".join(texts[syms[p % len(syms)]] for p in picks)
+    bits += "".join("1" if b else "0" for b in noise)
+    if cut is not None:
+        bits = bits[:skip + cut % (len(bits) - skip + 1)]
+    return bits_to_bytes(bits)
+
+
 def decode_until_error(read, data, skip):
     """Symbols read after ``skip`` bits until the reader raises, the error
     (type and message) and the bits left at that point."""
@@ -149,16 +164,10 @@ class TestTableDecoder:
     @settings(max_examples=150, deadline=None,
               phases=[p for p in Phase if p is not Phase.explain])
     def test_matches_the_bitwise_walk(self, lengths, picks, noise, cut, skip):
-        """Code words (small picks are the longest ones), then random bits,
-        maybe cut at a random bit: both decoders read the same symbols and
-        stop with the same error at the same bit."""
-        texts = canonical_codes(lengths)
-        syms = sorted(texts, key=lambda s: (-lengths[s], s))
-        bits = "1" * skip + "".join(texts[syms[p % len(syms)]] for p in picks)
-        bits += "".join("1" if b else "0" for b in noise)
-        if cut is not None:
-            bits = bits[:skip + cut % (len(bits) - skip + 1)]
-        data = bits_to_bytes(bits)
+        """Code words, then random bits, maybe cut at a random bit: both
+        decoders read the same symbols and stop with the same error at the
+        same bit."""
+        data = code_stream(lengths, picks, noise, cut, skip)
         dec = CanonicalDecoder(lengths)
         got = decode_until_error(dec.read, data, skip)
         want = decode_until_error(bitwise_reader(lengths), data, skip)
@@ -183,6 +192,62 @@ class TestTableDecoder:
         with pytest.raises(DecodeError, match="invalid code word"):
             dec.read(r)
         assert r.remaining_bits == 14
+
+
+def block_read_until_error(block_read, data, skip, deltas, balance, limit):
+    """Symbols a block read appends after ``skip`` bits, what it returns
+    or raises (type and message), and the bits left after it."""
+    reader = BitReader(data)
+    reader.read(skip)
+    out = []
+    try:
+        result = block_read(reader, out, deltas, balance, limit)
+    except (DecodeError, BitstreamEnd) as exc:
+        result = type(exc), str(exc)
+    return out, result, reader.remaining_bits
+
+
+class TestBlockRead:
+    @given(lengths=prefix_codes(), picks=st.lists(st.integers(0, 60), max_size=40),
+           noise=st.lists(st.booleans(), max_size=40),
+           cut=st.one_of(st.none(), st.integers(0, 10 ** 6)), skip=st.integers(0, 7),
+           balance=st.integers(0, 30), limit=st.sampled_from([300, 150, 10]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=150, deadline=None,
+              phases=[p for p in Phase if p is not Phase.explain])
+    def test_matches_a_loop_of_reads(self, lengths, picks, noise, cut, skip, balance,
+                                     limit, seed):
+        """The streams of test_matches_the_bitwise_walk; each symbol's delta
+        is -1, 0, 1 or None, and the symbols go up to 300: both reads append
+        the same symbols and stop at the same symbol or error, at the same
+        bit."""
+        data = code_stream(lengths, picks, noise, cut, skip)
+        rng = random.Random(seed)
+        none_share = rng.choice((0, 0.05, 0.3))
+        deltas = [None if rng.random() < none_share else rng.choice((-1, -1, 0, 1))
+                  for _ in range(limit + 1)]
+        dec = CanonicalDecoder(lengths)
+        args = data, skip, deltas, balance, limit
+        got = block_read_until_error(dec.read_block, *args)
+        want = block_read_until_error(partial(read_block_by_reads, dec), *args)
+        assert got == want
+
+    def test_long_codes_and_the_input_end_go_through_read(self):
+        # lengths 1, 2, ..., 20, 20: a complete code past LOOKUP_BITS;
+        # every symbol counts -1, so the read takes all but the last
+        lengths = {s: min(s + 1, 20) for s in range(21)}
+        codes = canonical_codes(lengths)
+        symbols = list(range(21)) * 2
+        random.Random(4).shuffle(symbols)
+        data = bits_to_bytes("".join(codes[s] for s in symbols))
+        dec = CanonicalDecoder(lengths)
+        deltas = [-1] * 21
+        r = BitReader(data)
+        out = bytearray()
+        assert dec.read_block(r, out, deltas, len(symbols) - 1, 20) is None
+        assert list(out) == symbols[:-1]
+        assert dec.read(r) == symbols[-1]
+        assert r.remaining_bits < 8
 
 
 def bit_string(data):
@@ -297,6 +362,98 @@ class TestLengthTableBound:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+class TestNameSectionMemory:
+    def test_a_long_name_costs_its_bytes_not_a_list_of_ints(self):
+        blob = compress_xml_bytes(b"<r><" + b"a" * 800_000 + b"/><b/></r>")
+        assert len(blob) == 100_033
+        tracemalloc.start()
+        try:
+            g = decode(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(len(t.name) for t in g.terminal_order) == [1, 1, 800_000]
+        assert peak < 2 * 2 ** 20
+
+
+def value_stream(segments):
+    """The stream ``encode`` writes for the value sequence ``segments``:
+    code tables built from its frequencies, then the values."""
+    with mock.patch.object(succinct_coder, "serialize_values", lambda *_: segments):
+        return encode(books_grammar())
+
+
+def r_of_a_stream(counts=(2, 0), blocks=((1, 2), (0,), (1, 1)),
+                  names=b"r\x03a\x03", bodies=(), start=(1, 2)):
+    """Value sequence of S -> r(a) with r^10 (id 1) and a^00 (id 2), as a
+    stream; each argument replaces one part of it."""
+    segments = [("c2", list(counts))]
+    for tag, block in enumerate(blocks):
+        segments += [("tag", [tag]), ("c2", list(block))]
+    segments += [("c3", list(names)), ("c2", list(bodies)), ("c1", list(start))]
+    return value_stream(segments)
+
+
+class TestDecodeErrorPoints:
+    """Hand-built streams with one fault each (or a fault and a later one:
+    the earlier is reported) and the message the decoder gives."""
+
+    def test_the_unbroken_streams_decode(self):
+        assert decompress_bytes(r_of_a_stream()) == b"<r><a/></r>"
+        # A(y) -> r(y), S -> A(a)
+        blob = r_of_a_stream(counts=(2, 1), bodies=(1, 3), start=(4, 2))
+        assert decompress_bytes(blob) == b"<r><a/></r>"
+
+    @pytest.mark.parametrize("parts, message", [
+        (dict(names=list(b"r\x03a") + [0x1FF, 3]),
+         "name byte 511 out of range"),
+        # the first name is checked before the second name's bad byte
+        (dict(names=list(b"\x01\x03a") + [0x1FF, 3]), "bad terminal name"),
+        (dict(start=(1, 0)), "symbol id 0 out of range"),
+        # max_id is the parameter's id 3 while no production is defined
+        (dict(start=(1, 4)), "symbol id 4 out of range"),
+        # a body may not name its own production (id 4)
+        (dict(counts=(2, 1), bodies=(1, 4), start=(4, 2)), "symbol id 4 out of range"),
+        (dict(counts=(2, 1), bodies=(0,), start=(4, 2)), "symbol id 0 out of range"),
+        (dict(blocks=((1, 3), (0,), (1, 1))), "bad terminal id 3 in characteristic block"),
+        (dict(blocks=((1, 0), (0,), (1, 1))), "bad terminal id 0 in characteristic block"),
+        # a terminal listed twice: in two blocks, in one block, and in a
+        # block whose count claims more ids than there are terminals
+        (dict(blocks=((1, 2), (0,), (2, 1, 2))), "bad terminal id 2 in characteristic block"),
+        (dict(blocks=((2, 2, 2), (0,), (1, 1))), "bad terminal id 2 in characteristic block"),
+        (dict(blocks=((1000, 2, 2), (0,), (1, 1))), "bad terminal id 2 in characteristic block"),
+    ], ids=["name-byte", "name-before-byte", "id-0", "id-max+1", "body-id-max+1",
+            "body-id-0", "block-id-n+1", "block-id-0", "block-repeat", "block-repeat-inside",
+            "block-repeat-overcount"])
+    def test_message(self, parts, message):
+        with pytest.raises(DecodeError, match=message):
+            decode(r_of_a_stream(**parts))
+
+    @pytest.mark.parametrize("ids, message", [
+        (range(1, 41), "truncated input"),
+        ([1, 1, *range(2, 40)], "bad terminal id 1 in characteristic block"),
+    ])
+    def test_truncation_inside_a_characteristic_block(self, ids, message):
+        names = b"".join(b"t%02d\x03" % i for i in range(40))
+        blob = r_of_a_stream(counts=(40, 0), blocks=((40, *ids), (0,), (0,)), names=names,
+                             start=(1,))
+        # the block's 40 ids take 200 bits or more; cut 40 bits in
+        _, _, _, tables, r = read_header(blob)
+        c2 = CanonicalDecoder({s: l for s, l in enumerate(tables[1][1]) if l})
+        c2.read(r), c2.read(r), r.read(2), c2.read(r)
+        cut = (8 * len(blob) - r.remaining_bits + 40) // 8
+        with pytest.raises(DecodeError, match=message):
+            decode(blob[:cut])
+
+    @pytest.mark.parametrize("first, message", [(b"r", "truncated input"),
+                                                (b"\x01", "bad terminal name")])
+    def test_truncation_inside_the_name_section(self, first, message):
+        blob = r_of_a_stream(names=first + b"\x03" + b"a" * 4000 + b"\x03")
+        assert len(blob) > 400
+        with pytest.raises(DecodeError, match=message):
+            decode(blob[:len(blob) // 2])
 
 
 class TestIdAssignment:
