@@ -19,7 +19,7 @@ from .xml_tree import (
 from .slcf_grammar import (PARAMETER, GrammarError, Nonterminal, SlcfGrammar,
                            serialize_xml)
 from .dag_builder import build_dag_grammar
-from .digram_index import DigramIndex, build_index, compute_occurrences
+from .digram_index import DigramIndex, build_index
 from .replacer import run_replacement_step
 from .pruner import EDGES_THRESHOLD, FILESIZE_THRESHOLD, prune
 from .succinct_coder import DecodeError, EncodeError, encode
@@ -57,7 +57,6 @@ __all__ = [
     "build_index",
     "compress_tree",
     "compress_xml_bytes",
-    "compute_occurrences",
     "decode",
     "decompress_bytes",
     "decompress_tree",

@@ -29,19 +29,18 @@ class BitReader:
         self._pos = 0  # in bits
 
     def peek(self, nbits) -> int:
-        """The next ``nbits`` bits without consuming them; bits past the
-        end of the input read as zeros."""
+        """The next ``nbits`` bits without consuming them; at least
+        ``nbits`` must be left."""
         pos = self._pos
         end = pos + nbits
-        if end > self._nbits:
-            have = self._nbits - pos
-            return self.peek(have) << (nbits - have)
         chunk = int.from_bytes(self._data[pos >> 3:(end + 7) >> 3], "big")
         return (chunk >> (-end & 7)) & ((1 << nbits) - 1)
 
     def read(self, nbits) -> int:
+        if nbits > self.remaining_bits:
+            raise BitstreamEnd()
         value = self.peek(nbits)
-        self.skip(nbits)
+        self._pos += nbits
         return value
 
     def skip(self, nbits):

@@ -73,9 +73,9 @@ def _tree_to_nested_xml(bt) -> bytes:
 
 
 def _run(args) -> int:
+    if getattr(args, "max_rank", 0) < 0:
+        raise ValueError("-max_rank must not be negative")
     if args.command == "compress":
-        if args.max_rank < 0:
-            raise ValueError("-max_rank must not be negative")
         with open(args.input, "rb") as fh:
             data = fh.read()
         out = compress_xml_bytes(data, max_rank=args.max_rank,
@@ -90,8 +90,6 @@ def _run(args) -> int:
         with open(args.output, "wb") as fh:
             fh.write(out)
     elif args.command == "stats":
-        if args.max_rank < 0:
-            raise ValueError("-max_rank must not be negative")
         with open(args.input, "rb") as fh:
             data = fh.read()
         stats = gather_stats(data, max_rank=args.max_rank,

@@ -324,31 +324,6 @@ class DigramIndex:
         return self.g.arena.parents[self._head[r]]
 
 
-def compute_occurrences(tree, root, parent_sym, index, child_sym):
-    """Greedy maximal non-overlapping occurrence set of one digram.
-
-    Walks the tree bottom-up and takes every matching edge whose child end
-    is not itself already taken; by the overlap structure of equal digrams
-    (conflicts form chains along the child index) this is a maximum
-    non-overlapping set.
-    """
-    chosen = set()
-    out = []
-    for v in tree.iter_postorder(root):
-        if tree.labels[v] != parent_sym:
-            continue
-        if len(tree.children[v]) < index:
-            continue
-        c = tree.children[v][index - 1]
-        if tree.labels[c] != child_sym:
-            continue
-        if c in chosen:
-            continue
-        chosen.add(v)
-        out.append(v)
-    return out
-
-
 def build_index(grammar: SlcfGrammar, n_edges=None, max_rank=None) -> DigramIndex:
     """Scan every production bottom-up and register all occurrences.
 

@@ -12,17 +12,13 @@ import time
 
 from .xml_tree import (BinaryTree, UnsupportedInputError, element_children,
                        parse_xml)
-from .slcf_grammar import GrammarError, SlcfGrammar
+from .slcf_grammar import DEFAULT_NODE_CAP, GrammarError, SlcfGrammar
 from .dag_builder import build_dag_grammar
 from .digram_index import build_index
 from .replacer import run_replacement_step
 from .pruner import EDGES_THRESHOLD, FILESIZE_THRESHOLD, prune
 from .succinct_coder import DecodeError, encode
 from .succinct_decoder import decode
-
-# Bound on the unfolded size when decompressing; a corrupted stream can
-# describe a tree exponentially larger than itself.
-DEFAULT_NODE_CAP = 2 ** 24
 
 OPTIMIZE_THRESHOLDS = {
     "edges": EDGES_THRESHOLD,

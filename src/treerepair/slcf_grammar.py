@@ -34,6 +34,10 @@ class ParameterSymbol:
 
 PARAMETER = ParameterSymbol()
 
+# Default bound on the size of a derived value; a corrupted stream can
+# describe a tree exponentially larger than itself.
+DEFAULT_NODE_CAP = 2 ** 24
+
 
 class Nonterminal:
     """Grammar nonterminal.  Identity object; compared by ``is``.
@@ -315,7 +319,7 @@ class SlcfGrammar:
             raise GrammarError("unfolded value exceeds %d nodes" % node_cap)
         return param_index
 
-    def unfold_value(self, node_cap=2 ** 31) -> BinaryTree:
+    def unfold_value(self, node_cap=DEFAULT_NODE_CAP) -> BinaryTree:
         """Derive the grammar's value as a fresh tree.
 
         ``node_cap`` bounds the output size; a value larger than that
@@ -346,7 +350,7 @@ class SlcfGrammar:
             stack.extend(zip(t.children[src], (env,) * len(kids), kids))
         return BinaryTree(out, root, self.terminal_order)
 
-    def write_xml(self, node_cap=2 ** 31) -> bytes:
+    def write_xml(self, node_cap=DEFAULT_NODE_CAP) -> bytes:
         """The value's XML document, written from the grammar without
         unfolding it.
 

@@ -101,15 +101,6 @@ def huffman_code_lengths(freqs) -> dict:
     return lengths
 
 
-def kraft_sum_num(lengths) -> tuple[int, int]:
-    """Kraft sum of the length multiset as (numerator, 2**max_len)."""
-    if not lengths:
-        return 0, 1
-    m = max(lengths.values())
-    num = sum(1 << (m - l) for l in lengths.values())
-    return num, 1 << m
-
-
 def fixed_bits(value, width) -> str:
     """``value`` as a ``width``-bit string, MSB first (``width`` >= 1)."""
     if value >> width:
@@ -117,27 +108,43 @@ def fixed_bits(value, width) -> str:
     return format(value, "0%db" % width)
 
 
-def canonical_codes(lengths) -> dict:
-    """Canonical code word per symbol: ``{symbol: bit string}``.
+def canonical_layout(lengths):
+    """The canonical code of a length table (Moffat & Turpin, IEEE Trans.
+    Comm. 1997) as ``(symbols, first, fits)``.
 
-    Symbols are ordered by (length, symbol); codes of one length are
-    consecutive and every code is the previous one incremented, shifted left
-    when the length grows.
+    ``symbols[l]`` lists the symbols of length l in ascending order; they
+    take consecutive code words from ``first[l]`` on, the code after the
+    previous length's last word shifted left.  ``fits`` holds when the code
+    after the last word is at most ``2**max_len``: when the lengths satisfy
+    Kraft's inequality.
     """
+    max_len = max(lengths.values())
+    symbols = [[] for _ in range(max_len + 1)]
+    for sym, l in lengths.items():
+        symbols[l].append(sym)
+    first = [0] * (max_len + 1)
+    code = 0
+    for l in range(1, max_len + 1):
+        symbols[l].sort()
+        code <<= 1
+        first[l] = code
+        code += len(symbols[l])
+    return symbols, first, code <= 1 << max_len
+
+
+def canonical_codes(lengths) -> dict:
+    """Canonical code word per symbol: ``{symbol: bit string}``, laid out
+    by :func:`canonical_layout`."""
     if not lengths:
         return {}
-    num, denom = kraft_sum_num(lengths)
-    if num > denom:
+    symbols, first, fits = canonical_layout(lengths)
+    if not fits:
         raise EncodeError("code lengths overflow the code space")
     codes = {}
-    code = 0
-    prev_len = 0
-    for sym in sorted(lengths, key=lambda s: (lengths[s], s)):
-        l = lengths[sym]
-        code <<= l - prev_len
-        codes[sym] = fixed_bits(code, l)
-        code += 1
-        prev_len = l
+    for l in range(1, len(symbols)):
+        width = "0%db" % l
+        for code, sym in enumerate(symbols[l], first[l]):
+            codes[sym] = format(code, width)
     return codes
 
 
@@ -157,53 +164,61 @@ _UNASSIGNED = (None, math.inf)
 class CanonicalDecoder:
     """Table-driven decoder for a canonical code given its length table.
 
-    ``read`` peeks the next ``w = min(max_len, LOOKUP_BITS)`` bits and looks
-    them up in a list of ``2**w`` slots.  A code word of length l <= w fills
-    the ``2**(w-l)`` slots that start with it with ``(symbol, l)``, so by
-    Kraft the fill costs at most ``2**w`` writes whatever the lengths.
-    Everything else falls back to the canonical first-code-per-length walk
-    (Moffat & Turpin, IEEE Trans. Comm. 1997): code words longer than w,
-    prefixes no code word starts with (incomplete codes) and code words cut
-    off by the end of the input.  Either way the reader ends where a
-    bit-by-bit walk would, and raises the same errors.  ``read_block``
-    decodes a run of code words with no call per code word, and hands what
-    the lookup cannot settle to ``read``: it reads what ``read`` calls would.
+    ``read`` peeks ``avail = min(max_len, bits left)`` bits and looks their
+    first ``w = min(max_len, LOOKUP_BITS)`` bits up in a list of ``2**w``
+    slots, zero-filled to w bits when fewer are left.  A code word of
+    length l <= w fills the ``2**(w-l)`` slots that start with it with
+    ``(symbol, l)``, so by Kraft the fill costs at most ``2**w`` writes
+    whatever the lengths.  What the lookup cannot settle (code words longer
+    than w, prefixes no code word starts with in an incomplete code, code
+    words cut off by the end of the input) is found by walking the
+    canonical first code of each length from w+1 to avail.  Either way the
+    reader ends where a bit-by-bit walk would, and raises the same errors.
+    ``read_block`` decodes a run of code words with no call per code word,
+    and hands what the lookup cannot settle to ``read``: it reads what
+    ``read`` calls would.
     """
 
     def __init__(self, lengths):
         if not lengths:
             raise DecodeError("empty code")
-        if max(lengths.values()) > MAX_CODE_BITS:
-            raise DecodeError("implausible code length %d" % max(lengths.values()))
-        num, denom = kraft_sum_num(lengths)
-        if num > denom:
+        max_len = self.max_len = max(lengths.values())
+        if max_len > MAX_CODE_BITS:
+            raise DecodeError("implausible code length %d" % max_len)
+        self._syms, self._first, fits = canonical_layout(lengths)
+        if not fits:
             raise DecodeError("code lengths overflow the code space")
-        self.max_len = max(lengths.values())
-        by_len = [[] for _ in range(self.max_len + 1)]
-        for sym in sorted(lengths, key=lambda s: (lengths[s], s)):
-            by_len[lengths[sym]].append(sym)
-        self._first = [0] * (self.max_len + 1)
-        self._syms = by_len
-        code = 0
-        for l in range(1, self.max_len + 1):
-            code <<= 1
-            self._first[l] = code
-            code += len(by_len[l])
-        width = self._width = min(self.max_len, LOOKUP_BITS)
+        width = self._width = min(max_len, LOOKUP_BITS)
         lookup = self._lookup = [_UNASSIGNED] * (1 << width)
+        # the code words of one length fill one run of slots
         for l in range(1, width + 1):
-            span = 1 << (width - l)
+            span = range(1 << (width - l))
+            slots = [slot for slot in [(sym, l) for sym in self._syms[l]] for _ in span]
             start = self._first[l] << (width - l)
-            for sym in by_len[l]:
-                lookup[start:start + span] = [(sym, l)] * span
-                start += span
+            lookup[start:start + len(slots)] = slots
 
     def read(self, reader: BitReader):
-        sym, length = self._lookup[reader.peek(self._width)]
-        if length > reader.remaining_bits:
-            return self._read_long(reader)
-        reader.skip(length)
-        return sym
+        avail = min(self.max_len, reader.remaining_bits)
+        bits = reader.peek(avail)
+        width = self._width
+        if avail >= width:
+            sym, length = self._lookup[bits >> (avail - width)]
+        else:
+            sym, length = self._lookup[bits << (width - avail)]
+        if length <= avail:
+            reader.skip(length)
+            return sym
+        # the lookup has ruled out every code word of up to min(w, avail)
+        # bits: it found none, or one longer than the input left
+        for l in range(min(width, avail) + 1, avail + 1):
+            d = (bits >> (avail - l)) - self._first[l]
+            if 0 <= d < len(self._syms[l]):
+                reader.skip(l)
+                return self._syms[l][d]
+        reader.skip(avail)
+        if avail < self.max_len:
+            raise BitstreamEnd()
+        raise DecodeError("invalid code word")
 
     def read_block(self, reader: BitReader, out, deltas, balance, limit):
         """Append symbols to ``out`` until ``balance`` reaches 0.
@@ -243,25 +258,6 @@ class CanonicalDecoder:
             sym = None
         reader._pos = (byte << 3) - have
         return sym
-
-    def _read_long(self, reader: BitReader):
-        """The first-code-per-length walk, for what the lookup cannot settle.
-
-        The lookup has ruled out every code word of up to ``min(w, bits
-        left)`` bits: it found none, or one longer than the input left.
-        So the walk starts past them.
-        """
-        avail = min(self.max_len, reader.remaining_bits)
-        bits = reader.peek(avail)
-        for l in range(min(self._width, avail) + 1, avail + 1):
-            d = (bits >> (avail - l)) - self._first[l]
-            if 0 <= d < len(self._syms[l]):
-                reader.skip(l)
-                return self._syms[l][d]
-        reader.skip(avail)
-        if avail < self.max_len:
-            raise BitstreamEnd()
-        raise DecodeError("invalid code word")
 
 
 def lengths_table(lengths) -> list:

@@ -146,8 +146,9 @@ def _decode(reader) -> SlcfGrammar:
         raise DecodeError("no terminal symbols")
     n_other = c2.read(reader)
 
-    # A block read that fails is re-raised after the values read before
-    # the failure are checked, so the first fault in the stream is reported.
+    # A block read's values are checked in a ``finally``, so when the read
+    # fails, a fault among the values read before it is what is reported:
+    # the first fault in the stream.
     char_of = {}
     seen_tags = set()
     # every id counts -1 and id 0 stops the read; a dict, as a list sized
@@ -158,42 +159,37 @@ def _decode(reader) -> SlcfGrammar:
         if tag not in (0, 1, 2) or tag in seen_tags:
             raise DecodeError("bad characteristic tag %d" % tag)
         seen_tags.add(tag)
+        char = ChildrenCharacteristic(tag)
         # more ids than unlisted terminals repeat one among the first unlisted + 1
         count = min(c2.read(reader), n_terminals - len(char_of) + 1)
-        ids, failure = [], None
+        ids = []
         try:
             bad = c2.read_block(reader, ids, id_deltas, count, n_terminals)
-        except (BitstreamEnd, DecodeError) as exc:
-            bad, failure = None, exc
-        for sid in ids:
-            if sid in char_of:
-                raise DecodeError("bad terminal id %d in characteristic block" % sid)
-            char_of[sid] = ChildrenCharacteristic(tag)
-        if failure:
-            raise failure
+        finally:
+            for sid in ids:
+                if sid in char_of:
+                    raise DecodeError("bad terminal id %d in characteristic block" % sid)
+                char_of[sid] = char
         if bad is not None:
             raise DecodeError("bad terminal id %d in characteristic block" % bad)
 
-    raw, failure = bytearray(), None
+    raw = bytearray()
+    terminals = {}  # an ordered set: ids follow the insertion order
     try:
         bad = c3.read_block(reader, raw, _NAME_DELTAS, n_terminals, 0xFF)
-    except (BitstreamEnd, DecodeError) as exc:
-        bad, failure = None, exc
-    terminals = {}  # an ordered set: ids follow the insertion order
-    begin, end = 0, raw.find(ETX)
-    view = memoryview(raw)  # a name's str is its one copy
-    while end >= 0:
-        char = char_of.get(len(terminals) + 1, ChildrenCharacteristic.TWO_CHILDREN)
-        try:
-            sym = TerminalSymbol(str(view[begin:end], "utf-8"), char)
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise DecodeError("bad terminal name: %s" % exc) from None
-        if sym in terminals:
-            raise DecodeError("duplicate terminal %r" % sym)
-        terminals[sym] = None
-        begin, end = end + 1, raw.find(ETX, end + 1)
-    if failure:
-        raise failure
+    finally:
+        begin, end = 0, raw.find(ETX)
+        view = memoryview(raw)  # a name's str is its one copy
+        while end >= 0:
+            char = char_of.get(len(terminals) + 1, ChildrenCharacteristic.TWO_CHILDREN)
+            try:
+                sym = TerminalSymbol(str(view[begin:end], "utf-8"), char)
+            except (UnicodeDecodeError, ValueError) as exc:
+                raise DecodeError("bad terminal name: %s" % exc) from None
+            if sym in terminals:
+                raise DecodeError("duplicate terminal %r" % sym)
+            terminals[sym] = None
+            begin, end = end + 1, raw.find(ETX, end + 1)
     if bad is not None:
         raise DecodeError("name byte %d out of range" % bad)
 

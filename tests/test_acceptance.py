@@ -11,10 +11,11 @@ import time
 import warnings
 
 from treerepair import (
+    SlcfGrammar,
     build_grammar,
+    build_index,
     compress_tree,
     compress_xml_bytes,
-    compute_occurrences,
     decompress_bytes,
     decompress_tree,
     encode,
@@ -30,7 +31,7 @@ from treerepair.succinct_coder import (
 )
 
 from conftest import BOOKS, BOOKS_VALUES, flat_values, random_xml, read_header
-from oracles import binary_mdag_edges, binary_shape, max_nonoverlapping
+from oracles import binary_mdag_edges, binary_shape, max_nonoverlapping, occurrence_nodes
 
 BOOKS_EDGES_TEXT = (
     "A_1 -> author^01(title^01(isbn^00))\n"
@@ -198,7 +199,7 @@ def test_occurrence_counts_match_brute_force():
             for i, c in enumerate(t.children[v], start=1):
                 digrams.add((t.labels[v], i, t.labels[c]))
         parent, i, child = rng.choice(sorted(digrams, key=repr))
-        occ = compute_occurrences(t, bt.root, parent, i, child)
+        occ = occurrence_nodes(build_index(SlcfGrammar.from_tree(bt)), parent, i, child)
         assert len(occ) == max_nonoverlapping(t, bt.root, parent, i, child)
 
 

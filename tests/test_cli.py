@@ -41,6 +41,15 @@ class TestCompressDecompress:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_stats_rejects_negative_rank_like_compress(self, tmp_path, books_file,
+                                                      capsys):
+        out = tmp_path / "books.tr"
+        assert main(["compress", "-max_rank", "-1", str(books_file), str(out)]) == 1
+        assert not out.exists()
+        assert main(["stats", "-max_rank", "-1", str(books_file)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: -max_rank must not be negative\n" * 2
+
     def test_rejects_unknown_objective(self, tmp_path, books_file):
         out = tmp_path / "books.tr"
         with pytest.raises(SystemExit) as info:

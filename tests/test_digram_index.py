@@ -3,7 +3,7 @@
 import pytest
 
 from treerepair import (ChildrenCharacteristic, build_dag_grammar, build_index,
-                        compute_occurrences, parse_xml, run_replacement_step)
+                        parse_xml, run_replacement_step)
 from treerepair.digram_index import _BITS, END, FREE
 from treerepair.fixtures import gen_perfect_binary
 from treerepair.replacer import pattern_tree, replace_occurrence
@@ -72,11 +72,11 @@ class TestInitialCounts:
         assert max_nonoverlapping(g.arena, g.start().root, f, 1, f) == 3
 
     def test_perfect_tree_right_slot_occurrences(self):
-        bt = gen_perfect_binary(4)
+        g = SlcfGrammar.from_tree(gen_perfect_binary(4))
+        idx = build_index(g)
         f = cterm("f", "11")
-        occ = compute_occurrences(bt.tree, bt.root, f, 2, f)
-        assert len(occ) == 5
-        assert max_nonoverlapping(bt.tree, bt.root, f, 2, f) == 5
+        assert len(occurrence_nodes(idx, f, 2, f)) == 5
+        assert max_nonoverlapping(g.arena, g.start().root, f, 2, f) == 5
 
     def test_matches_oracle_on_random_trees(self):
         for seed in range(120):
@@ -86,8 +86,9 @@ class TestInitialCounts:
                 for i, w in enumerate(bt.tree.children[v]):
                     if w >= 0:
                         digrams.add((bt.tree.labels[v], i + 1, bt.tree.labels[w]))
+            idx = build_index(SlcfGrammar.from_tree(bt))
             for parent, i, child in digrams:
-                got = len(compute_occurrences(bt.tree, bt.root, parent, i, child))
+                got = len(occurrence_nodes(idx, parent, i, child))
                 want = max_nonoverlapping(bt.tree, bt.root, parent, i, child)
                 assert got == want, (seed, parent, i, child)
 
@@ -140,7 +141,6 @@ class TestSharedProductions:
         # the flattened tree chains through the shared subtree twice, so the
         # sharing-aware index undercounts against the unfolded optimum
         bt = g.unfold_value()
-        assert len(compute_occurrences(bt.tree, bt.root, f, 2, f)) == 4
         assert max_nonoverlapping(bt.tree, bt.root, f, 2, f) == 4
 
     def test_one_node_can_host_occurrences_of_two_digrams(self):
@@ -172,7 +172,7 @@ class TestIncrementalMaintenance:
         # still contains one occurrence
         assert occurrence_nodes(idx, f, 2, f) == []
         root = g.start().root
-        assert len(compute_occurrences(g.arena, root, f, 2, f)) == 1
+        assert max_nonoverlapping(g.arena, root, f, 2, f) == 1
 
 
 def check_index(idx, max_rank):

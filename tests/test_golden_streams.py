@@ -3,17 +3,20 @@
 Every refactor of the grammar construction is meant to keep the streams
 byte-identical; this test checks that on a spread of inputs under every
 flag combination, and that each stream decodes to a grammar that encodes
-back to it.  A deliberate change of the grammars or of the stream
-layout re-pins the digests: run this file as a script
-(``PYTHONPATH=src python tests/test_golden_streams.py``) and paste its
-output over ``GOLDEN``.
+back to it.  A second digest pins what the decoder makes of mutated
+streams, so a decoder refactor keeps every grammar, every error message
+and the order in which the errors fire.  A deliberate change of the
+grammars or of the stream layout re-pins the digests: run this file as
+a script (``PYTHONPATH=src python tests/test_golden_streams.py``) and
+paste its output over ``GOLDEN`` and ``MUTANTS_GOLDEN``.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from treerepair import compress_tree, decode, encode, parse_xml
+from treerepair import DecodeError, compress_tree, decode, encode, parse_xml
 from treerepair.fixtures import gen_M, gen_U
 
 from conftest import BOOKS, random_xml
@@ -43,6 +46,8 @@ GOLDEN = {
     "U10": "168942ac4ffb76db27002389493de3b5b1ca12f9557e9fa8d4c617e8b276505e",
 }
 
+MUTANTS_GOLDEN = "7200eb09366b7fcc384e8cb6155c26c133d6a0bd1b75ff72b1ebc6a1bdeb419b"
+
 
 def streams(make_tree):
     """The stream of every flag combination, in order."""
@@ -68,6 +73,39 @@ def test_streams_match_the_pinned_digests(name):
         assert encode(decode(blob)) == blob
 
 
+def mutant_outcomes_digest():
+    """One digest over what ``decode`` makes of 2 000 seeded mutants of
+    the streams of every input at the first and the last flag combination:
+    the grammar's canonical text or the DecodeError message.
+
+    A mutant is the blob cut at a random byte (one in four) or with one
+    to three random bits flipped.
+    """
+    blobs = [compress_tree(make(), *combo)
+             for make in INPUTS.values() for combo in (COMBOS[0], COMBOS[-1])]
+    rng = random.Random(2010)
+    h = hashlib.sha256()
+    for _ in range(2000):
+        victim = bytearray(rng.choice(blobs))
+        if rng.random() < 0.25:
+            del victim[rng.randrange(len(victim)):]
+        else:
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randrange(8 * len(victim))
+                victim[pos // 8] ^= 1 << (7 - pos % 8)
+        try:
+            outcome = "grammar\n" + decode(bytes(victim)).canonical_text()
+        except DecodeError as exc:
+            outcome = "error\n" + str(exc)
+        h.update(outcome.encode("utf-8") + b"\0")
+    return h.hexdigest()
+
+
+def test_mutant_outcomes_match_the_pinned_digest():
+    assert mutant_outcomes_digest() == MUTANTS_GOLDEN
+
+
 if __name__ == "__main__":
     for name, make in INPUTS.items():
         print('    "%s": "%s",' % (name, streams_digest(streams(make))))
+    print('MUTANTS_GOLDEN = "%s"' % mutant_outcomes_digest())

@@ -9,10 +9,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from treerepair import (
     DecodeError,
     GrammarError,
+    SlcfGrammar,
     build_dag_grammar,
     build_grammar,
+    build_index,
     compress_xml_bytes,
-    compute_occurrences,
     decode,
     decompress_bytes,
     decompress_tree,
@@ -42,6 +43,7 @@ from oracles import (
     kraft_sum,
     max_nonoverlapping,
     mdag_counts,
+    occurrence_nodes,
     prefix_free,
     rle_expand,
     run_length_decode_dense,
@@ -138,8 +140,9 @@ class TestGrammarStages:
         for v in t.iter_postorder(bt.root):
             for i, c in enumerate(t.children[v], start=1):
                 digrams.add((t.labels[v], i, t.labels[c]))
+        idx = build_index(SlcfGrammar.from_tree(bt))
         for parent, i, child in digrams:
-            occ = compute_occurrences(t, bt.root, parent, i, child)
+            occ = occurrence_nodes(idx, parent, i, child)
             assert len(occ) == max_nonoverlapping(t, bt.root, parent, i, child)
 
 

@@ -186,6 +186,35 @@ class TestTableDecoder:
         assert got[0][:len(symbols)] == symbols
         assert got == decode_until_error(bitwise_reader(lengths), data, 0)
 
+    def test_implausible_code_length_is_rejected(self):
+        with pytest.raises(DecodeError, match="implausible code length 65"):
+            CanonicalDecoder({0: 65, 1: 1})
+        # the length check comes before the Kraft check
+        with pytest.raises(DecodeError, match="implausible code length 70"):
+            CanonicalDecoder({0: 1, 1: 1, 2: 1, 3: 70})
+
+    def test_oversubscribed_lengths_are_rejected(self):
+        with pytest.raises(DecodeError, match="code lengths overflow the code space"):
+            CanonicalDecoder({1: 1, 2: 1, 3: 1})
+        with pytest.raises(DecodeError, match="code lengths overflow the code space"):
+            CanonicalDecoder({s: 64 for s in range(2 ** 6)} | {100: 1, 101: 1})
+
+    @pytest.mark.parametrize("lengths", [
+        {1: 1, 2: 2, 3: 3, 4: 3},
+        # lengths 1..63 and two of 64: complete at the widest plausible length
+        {s: min(s + 1, 64) for s in range(65)},
+    ])
+    def test_a_complete_code_is_accepted_by_both_sides(self, lengths):
+        assert kraft_sum(lengths) == 1
+        codes = canonical_codes(lengths)
+        symbols = sorted(lengths) * 2
+        random.Random(6).shuffle(symbols)
+        data = bits_to_bytes("".join(codes[s] for s in symbols))
+        r = BitReader(data)
+        dec = CanonicalDecoder(lengths)
+        assert [dec.read(r) for _ in symbols] == symbols
+        assert r.remaining_bits < 8
+
     def test_unassigned_prefix_is_an_invalid_code_word(self):
         dec = CanonicalDecoder({5: 1, 6: 2})  # "11" is no code word's prefix
         r = BitReader(b"\xc0\x00")
@@ -263,14 +292,13 @@ class TestBitIo:
             for n in range(65):
                 r = BitReader(data)
                 assert r.read(pos) == int(bits[:pos] or "0", 2)
-                padded = (bits[pos:pos + n] + "0" * n)[:n]
-                assert r.peek(n) == int(padded or "0", 2)
-                assert r.remaining_bits == len(bits) - pos
                 if pos + n > len(bits):
                     with pytest.raises(BitstreamEnd):
                         r.read(n)
                     assert r.remaining_bits == len(bits) - pos
                 else:
+                    assert r.peek(n) == int(bits[pos:pos + n] or "0", 2)
+                    assert r.remaining_bits == len(bits) - pos
                     assert r.read(n) == int(bits[pos:pos + n] or "0", 2)
                     assert r.remaining_bits == len(bits) - pos - n
 
