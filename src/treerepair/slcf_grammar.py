@@ -363,40 +363,6 @@ class SlcfGrammar:
         rhs_roots = {i: p.root for i, p in self.productions.items()}
         return _write_tags(self.arena, self.start().root, rhs_roots, param_index)
 
-    # -- debug text ----------------------------------------------------------------
-
-    def canonical_text(self):
-        """One production per line, start last, with nonterminals renamed
-        along the hierarchical order, for comparisons up to renaming."""
-        order = [i for i in self.hierarchical_order() if i != self.start_id]
-        names = {nid: "A_%d" % (k + 1) for k, nid in enumerate(order)}
-        names[self.start_id] = "S"
-        t = self.arena
-        lines = []
-        for nid in order + [self.start_id]:
-            rank = self.productions[nid].nt.rank
-            head = names[nid] + ("(" + ",".join(["y"] * rank) + ")" if rank else "")
-            out = [head, " -> "]
-            # Node ids and literal punctuation share one stack.
-            stack = [self.productions[nid].root]
-            while stack:
-                v = stack.pop()
-                if isinstance(v, str):
-                    out.append(v)
-                    continue
-                label = t.labels[v]
-                out.append(names[label.id] if isinstance(label, Nonterminal)
-                           else repr(label))
-                kids = t.children[v]
-                if kids:
-                    out.append("(")
-                    stack.append(")")
-                    for c in reversed(kids[1:]):
-                        stack += (c, ",")
-                    stack.append(kids[0])
-            lines.append("".join(out))
-        return "\n".join(lines)
-
 
 class _Tags(dict):
     """Terminal -> (characteristic bits, tag, close tag), built once per

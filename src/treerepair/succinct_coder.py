@@ -35,7 +35,6 @@ to bytes once.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 
@@ -71,34 +70,54 @@ class DecodeError(ValueError):
 def huffman_code_lengths(freqs) -> dict:
     """Code length per symbol for a Huffman code over ``freqs``.
 
-    Deterministic: ties are broken by preferring leaves over merged nodes and
-    lower symbols / earlier merges within each kind.
+    Deterministic: each merge takes the two least items by ``(freq, kind,
+    ident)``, where a leaf (kind 0, ident its symbol) precedes a merged
+    node (kind 1, ident its creation number) of equal frequency.
+
+    Two-queue construction (van Leeuwen, ICALP 1976): the leaves, sorted
+    once by ``(freq, symbol)``, form one queue; merged nodes join a second
+    queue in creation order.  Each pop takes the front of the leaf queue
+    unless the merged queue's front has a smaller frequency, and this pops
+    in the ``(freq, kind, ident)`` order above, because the merged queue is
+    sorted by ``(freq, creation number)``: merged frequencies never
+    decrease.  Indeed, let a <= b be the two items a merge pops.  Every
+    item left behind is at least b, and so is the new item a + b
+    (frequencies are non-negative); the next merge pops two items of at
+    least a and b, so its sum is at least a + b.  A code length is the
+    depth of a leaf in the merge tree; as every merged node is created
+    before its parent, one pass over the parent indices from the root down
+    gives all depths (Moffat & Katajainen, WADS 1995).
     """
     if not freqs:
         return {}
     if len(freqs) == 1:
         return {next(iter(freqs)): 1}
-    # heap items: (freq, kind, ident, payload); leaf payload is the symbol,
-    # internal payload is (left, right)
-    heap = [(f, 0, sym, sym) for sym, f in freqs.items()]
-    heapq.heapify(heap)
-    seq = 0
-    while len(heap) > 1:
-        f1, k1, i1, p1 = heapq.heappop(heap)
-        f2, k2, i2, p2 = heapq.heappop(heap)
-        heapq.heappush(heap, (f1 + f2, 1, seq, ((k1, p1), (k2, p2))))
-        seq += 1
-    lengths = {}
-    stack = [(heap[0][1], heap[0][3], 0)]
-    while stack:
-        kind, payload, depth = stack.pop()
-        if kind == 0:
-            lengths[payload] = depth
+    leaves = sorted([(f, sym) for sym, f in freqs.items()])
+    n = len(leaves)
+    # nodes 0..n-1 are the leaves in queue order, n.. the merged nodes
+    weight = [f for f, _ in leaves]
+    parent = [0] * (2 * n - 1)
+    leaf = 0      # front of the leaf queue
+    merged = n    # front of the merged queue; it ends before node k
+    for k in range(n, 2 * n - 1):
+        if leaf < n and (merged == k or weight[leaf] <= weight[merged]):
+            a = leaf
+            leaf += 1
         else:
-            (lk, lp), (rk, rp) = payload
-            stack.append((lk, lp, depth + 1))
-            stack.append((rk, rp, depth + 1))
-    return lengths
+            a = merged
+            merged += 1
+        if leaf < n and (merged == k or weight[leaf] <= weight[merged]):
+            b = leaf
+            leaf += 1
+        else:
+            b = merged
+            merged += 1
+        parent[a] = parent[b] = k
+        weight.append(weight[a] + weight[b])
+    depth = [0] * (2 * n - 1)
+    for k in range(2 * n - 3, -1, -1):
+        depth[k] = depth[parent[k]] + 1
+    return {sym: depth[k] for k, (_, sym) in enumerate(leaves)}
 
 
 def fixed_bits(value, width) -> str:

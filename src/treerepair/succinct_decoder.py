@@ -187,7 +187,7 @@ def _decode(reader) -> SlcfGrammar:
             except (UnicodeDecodeError, ValueError) as exc:
                 raise DecodeError("bad terminal name: %s" % exc) from None
             if sym in terminals:
-                raise DecodeError("duplicate terminal %r" % sym)
+                raise DecodeError("duplicate terminal %r" % (sym,))
             terminals[sym] = None
             begin, end = end + 1, raw.find(ETX, end + 1)
     if bad is not None:

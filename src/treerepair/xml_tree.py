@@ -13,6 +13,7 @@ symbol).
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from xml.parsers import expat
 
 # Byte value used as the name terminator in the succinct coding; element
@@ -65,7 +66,7 @@ class ChildrenCharacteristic(enum.IntEnum):
         return format(self.value, "02b")
 
 
-class TerminalSymbol:
+class TerminalSymbol(namedtuple("TerminalSymbol", "name characteristic rank")):
     """Ranked alphabet symbol.
 
     XML-derived symbols pair an element name with a children
@@ -73,33 +74,32 @@ class TerminalSymbol:
     synthetic trees may instead carry an explicit rank and no
     characteristic (such grammars cannot be written to the succinct
     format, which stores characteristics).
+
+    A symbol is the tuple ``(name, characteristic, rank)``: equality is
+    structural, a symbol equals that plain tuple and hashes like it, and
+    both run in C, as symbols key every digram, sharing and id lookup.
+    Being a tuple, a symbol must never be the lone operand of ``%``;
+    format it as ``% (sym,)``.
     """
 
-    __slots__ = ("name", "characteristic", "rank", "_hash")
+    __slots__ = ()
 
-    def __init__(self, name, characteristic=None, *, rank=None):
+    def __new__(cls, name, characteristic=None, *, rank=None):
         if not name:
             raise ValueError("empty terminal name")
         if min(name) < " ":
             raise ValueError("control character in terminal name: %r" % name)
         if (characteristic is None) == (rank is None):
             raise ValueError("give exactly one of characteristic and rank")
-        self.name = name
-        self.characteristic = characteristic
-        self.rank = characteristic.rank if rank is None else rank
-        # Symbols key every digram lookup, so the hash is computed once.
-        self._hash = hash((name, characteristic, self.rank))
+        if rank is None:
+            rank = characteristic.rank
+        return tuple.__new__(cls, (name, characteristic, rank))
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, TerminalSymbol)
-            and self._hash == other._hash
-            and self.name == other.name
-            and self.characteristic == other.characteristic
-            and self.rank == other.rank)
-
-    def __hash__(self):
-        return self._hash
+    def __getnewargs_ex__(self):
+        # copy and pickle make a symbol through __new__
+        if self.characteristic is None:
+            return (self.name,), {"rank": self.rank}
+        return (self.name, self.characteristic), {}
 
     def __repr__(self):
         if self.characteristic is None:
@@ -228,78 +228,63 @@ def parse_xml(data) -> BinaryTree:
     """Parse XML bytes into the binary tree of its element structure.
 
     Text, attributes, comments and processing instructions are dropped;
-    only element start/end events matter.  The construction keeps three
-    stacks: a hierarchy stack of open-or-unlabeled nodes, an index stack
-    of per-element child counts, and a name stack.  A node is labeled (and
-    its children attached) once its parent's end tag is seen, because only
-    then is it known whether it has a next sibling; the root is labeled
-    immediately since it never has one.
+    only element start/end events matter.  A start event makes a node and
+    links it at once: an element's first child hangs from the element's
+    node, a later child from its previous sibling's.  Both are the node on
+    top of a stack of unlabeled nodes, one slot per open element and per
+    closed child of an open element.  A node is labeled once its parent's
+    end tag is seen, because only then is it known whether it has a next
+    sibling; until then its label slot holds the characteristic bits its
+    links have set so far.  Symbols are interned in first-use order, by
+    name and bits, with the characteristic looked up in a table (no enum
+    call per element).  The root's symbol is interned at its start tag,
+    as it never has a next sibling, so it is the first symbol in the order.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
 
     tree = Tree()
+    labels, parents, pindex, children = tree.labels, tree.parents, tree.pindex, tree.children
+    characteristics = tuple(ChildrenCharacteristic)
     alphabet = {}
     order = []
 
-    def intern(name, char):
-        sym = alphabet.get((name, char))
+    def intern(name, bits):
+        sym = alphabet.get((name, bits))
         if sym is None:
-            sym = TerminalSymbol(name, char)
-            alphabet[(name, char)] = sym
+            sym = alphabet[name, bits] = TerminalSymbol(name, characteristics[bits])
             order.append(sym)
         return sym
 
-    hierarchy = []
-    index_stack = []
-    name_stack = []
-    # Pending binary links, filled in while a node is still unlabeled.
-    left = []
-    right = []
-    element_count = 0
-
-    def fresh_node():
-        v = tree.new_node(None)
-        left.append(-1)
-        right.append(-1)
-        return v
-
-    def finish(v):
-        """Label-time child attachment from the pending links."""
-        kids = []
-        if left[v] != -1:
-            kids.append(left[v])
-        if right[v] != -1:
-            kids.append(right[v])
-        tree.set_children(v, kids)
+    unlabeled = []
+    names = []    # the element name of each unlabeled node
+    counts = []   # child elements started so far, per open element
 
     def on_start(name, attrs):
-        nonlocal element_count
-        element_count += 1
-        u = fresh_node()
-        if hierarchy:
-            i = index_stack[-1] + 1
-            index_stack[-1] = i
-            v = hierarchy[-1]
-            if i == 1:
-                left[v] = u      # first child of the open element
-            else:
-                right[v] = u     # next sibling of the previous child
-            name_stack.append(name)
+        u = len(labels)
+        if counts:
+            v = unlabeled[-1]
+            n = counts[-1]
+            counts[-1] = n + 1
+            labels[v] += 0b01 if n else 0b10
+            kids = children[v]
+            kids.append(u)
+            parents.append(v)
+            pindex.append(len(kids))
         else:
-            # The root has a first child at most; label it right away.
-            tree.labels[u] = intern(name, ChildrenCharacteristic.NO_RIGHT_CHILD)
-        index_stack.append(0)
-        hierarchy.append(u)
+            intern(name, ChildrenCharacteristic.NO_RIGHT_CHILD)
+            parents.append(-1)
+            pindex.append(0)
+        labels.append(0)
+        children.append([])
+        unlabeled.append(u)
+        names.append(name)
+        counts.append(0)
 
     def on_end(name):
-        i = index_stack.pop()
-        for _ in range(i):
-            v = hierarchy.pop()
-            nm = name_stack.pop()
-            bits = (0b10 if left[v] != -1 else 0) | (0b01 if right[v] != -1 else 0)
-            tree.labels[v] = intern(nm, ChildrenCharacteristic(bits))
-            finish(v)
+        for _ in range(counts.pop()):
+            v = unlabeled.pop()
+            labels[v] = intern(names.pop(), labels[v])
 
     parser = expat.ParserCreate()
     parser.StartElementHandler = on_start
@@ -309,14 +294,14 @@ def parse_xml(data) -> BinaryTree:
     except expat.ExpatError as e:
         raise ParseError(expat.errors.messages[e.code], e.lineno, e.offset) from e
 
-    if element_count < 2:
+    if len(labels) < 2:
         raise UnsupportedInputError(
             "document has %d element(s); the binary model needs a root "
-            "with at least one child" % element_count)
+            "with at least one child" % len(labels))
 
-    root = hierarchy.pop()
-    finish(root)
-    assert not hierarchy and not index_stack and not name_stack
+    root = unlabeled.pop()
+    labels[root] = order[0]
+    assert not unlabeled and not counts
     return BinaryTree(tree, root, order)
 
 

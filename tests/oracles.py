@@ -3,8 +3,8 @@
 Everything here is deliberately written with a different approach than the
 package under test (plain recursion, ElementTree, textbook formulas) so a
 shared bug cannot hide.  The structural checks and readers that only tests
-call (``validate_grammar``, ``same_structure``, ``occurrence_nodes``) live
-here too, not in the package.
+call (``validate_grammar``, ``same_structure``, ``occurrence_nodes``,
+``canonical_text``) live here too, not in the package.
 """
 
 import heapq
@@ -140,6 +140,39 @@ def occurrence_nodes(idx, parent, index, child):
     return []
 
 
+def canonical_text(g):
+    """One production per line, start last, with nonterminals renamed
+    along the hierarchical order, for comparisons up to renaming."""
+    order = [i for i in g.hierarchical_order() if i != g.start_id]
+    names = {nid: "A_%d" % (k + 1) for k, nid in enumerate(order)}
+    names[g.start_id] = "S"
+    t = g.arena
+    lines = []
+    for nid in order + [g.start_id]:
+        rank = g.productions[nid].nt.rank
+        head = names[nid] + ("(" + ",".join(["y"] * rank) + ")" if rank else "")
+        out = [head, " -> "]
+        # Node ids and literal punctuation share one stack.
+        stack = [g.productions[nid].root]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, str):
+                out.append(v)
+                continue
+            label = t.labels[v]
+            out.append(names[label.id] if isinstance(label, Nonterminal)
+                       else repr(label))
+            kids = t.children[v]
+            if kids:
+                out.append("(")
+                stack.append(")")
+                for c in reversed(kids[1:]):
+                    stack += (c, ",")
+                stack.append(kids[0])
+        lines.append("".join(out))
+    return "\n".join(lines)
+
+
 def same_structure(bt, other):
     """Whether two BinaryTrees have equal labels in equal shapes."""
     stack = [(bt.root, other.root)]
@@ -260,6 +293,37 @@ def huffman_cost(freqs):
         total += a + b
         heapq.heappush(vals, a + b)
     return total
+
+
+def huffman_code_lengths_by_heap(freqs):
+    """Huffman code lengths from a binary heap, with the tie order of
+    ``succinct_coder.huffman_code_lengths``: items are ``(freq, kind,
+    ident, payload)``, a leaf of kind 0 with its symbol as ident, a merged
+    node of kind 1 numbered in creation order; lengths are leaf depths."""
+    if not freqs:
+        return {}
+    if len(freqs) == 1:
+        return {next(iter(freqs)): 1}
+    # leaf payload is the symbol, merged payload is (left, right)
+    heap = [(f, 0, sym, sym) for sym, f in freqs.items()]
+    heapq.heapify(heap)
+    seq = 0
+    while len(heap) > 1:
+        f1, k1, i1, p1 = heapq.heappop(heap)
+        f2, k2, i2, p2 = heapq.heappop(heap)
+        heapq.heappush(heap, (f1 + f2, 1, seq, ((k1, p1), (k2, p2))))
+        seq += 1
+    lengths = {}
+    stack = [(heap[0][1], heap[0][3], 0)]
+    while stack:
+        kind, payload, depth = stack.pop()
+        if kind == 0:
+            lengths[payload] = depth
+        else:
+            (lk, lp), (rk, rp) = payload
+            stack.append((lk, lp, depth + 1))
+            stack.append((rk, rp, depth + 1))
+    return lengths
 
 
 def prefix_free(bitstrings):

@@ -20,6 +20,7 @@ from treerepair import DecodeError, compress_tree, decode, encode, parse_xml
 from treerepair.fixtures import gen_M, gen_U
 
 from conftest import BOOKS, random_xml
+from oracles import canonical_text
 
 INPUTS = {
     "books": lambda: parse_xml(BOOKS),
@@ -94,7 +95,7 @@ def mutant_outcomes_digest():
                 pos = rng.randrange(8 * len(victim))
                 victim[pos // 8] ^= 1 << (7 - pos % 8)
         try:
-            outcome = "grammar\n" + decode(bytes(victim)).canonical_text()
+            outcome = "grammar\n" + canonical_text(decode(bytes(victim)))
         except DecodeError as exc:
             outcome = "error\n" + str(exc)
         h.update(outcome.encode("utf-8") + b"\0")

@@ -1,11 +1,16 @@
 """End-to-end pipeline: flag combinations, caps, and stage statistics."""
 
+import cProfile
+import enum
+import os
+import pstats
 import sys
 import time
 import tracemalloc
 
 import pytest
 
+import treerepair
 from treerepair import (
     PARAMETER,
     ChildrenCharacteristic,
@@ -22,10 +27,10 @@ from treerepair import (
     gather_stats,
     parse_xml,
 )
-from treerepair.fixtures import gen_perfect_binary, gen_U
+from treerepair.fixtures import gen_M, gen_perfect_binary, gen_U
 
 from conftest import BOOKS, random_xml
-from oracles import binary_shape
+from oracles import binary_shape, canonical_text
 
 ALL_COMBOS = [
     (max_rank, optimize, use_dag)
@@ -194,7 +199,7 @@ def default_recursion_limit():
 @pytest.mark.usefixtures("default_recursion_limit")
 class TestDefaultRecursionLimit:
     def test_deep_grammar_renders(self):
-        text = SlcfGrammar.from_tree(gen_U(12)).canonical_text()
+        text = canonical_text(SlcfGrammar.from_tree(gen_U(12)))
         assert text.count("f^11") == 2 ** 12
 
     def test_deep_document_roundtrips(self):
@@ -254,3 +259,42 @@ class TestDeterminism:
         blob = compress_tree(parse_xml(BOOKS))
         assert blob == compress_xml_bytes(BOOKS)
         assert binary_shape(decompress_tree(blob)) == binary_shape(parse_xml(BOOKS))
+
+
+def profiled_calls(run):
+    """``(file, function name)`` of every function ``run()`` called,
+    with its call count, from cProfile."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        run()
+    finally:
+        profiler.disable()
+    calls = {}
+    for (path, _, name), (_, ncalls, *_) in pstats.Stats(profiler).stats.items():
+        calls[path, name] = calls.get((path, name), 0) + ncalls
+    return calls
+
+
+class TestPrimitiveCalls:
+    """Call counts, not wall time: symbols hash and compare in C, and
+    parsing labels a node without calling the characteristic enum."""
+
+    def test_symbols_have_no_python_level_hash_or_equality(self):
+        def run():
+            compress_tree(gen_M(3))
+            decompress_bytes(compress_xml_bytes(BOOKS))
+
+        package = os.path.dirname(treerepair.__file__)
+        calls = profiled_calls(run)
+        assert any(path.startswith(package) for path, _ in calls)
+        assert {(path, name): n for (path, name), n in calls.items()
+                if path.startswith(package) and name in ("__hash__", "__eq__")} == {}
+
+    def test_parsing_makes_no_enum_call(self):
+        calls = profiled_calls(lambda: parse_xml(BOOKS))
+        assert {(path, name): n for (path, name), n in calls.items()
+                if path == enum.__file__ and name == "__call__"} == {}
+        # the check sees an enum call
+        calls = profiled_calls(lambda: ChildrenCharacteristic(0b10))
+        assert calls[enum.__file__, "__call__"] == 1

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from treerepair import (
     DecodeError,
@@ -36,9 +36,11 @@ from treerepair.succinct_decoder import run_length_decode
 from conftest import BOOKS, random_xml, shape_to_xml
 from oracles import (
     binary_shape,
+    canonical_text,
     decompress_bytes_by_unfolding,
     element_shape,
     fcns_shape,
+    huffman_code_lengths_by_heap,
     huffman_cost,
     kraft_sum,
     max_nonoverlapping,
@@ -160,6 +162,18 @@ def frequency_tables(draw):
                                 min_size=1, max_size=14))
 
 
+@st.composite
+def tie_heavy_frequency_tables(draw):
+    """One to many symbols whose frequencies are small multiples of one
+    unit, 1 or 10**12, so that most merges meet a tie, between leaves and
+    between a leaf and a merged node (1 + 1 meets a leaf of 2)."""
+    unit = draw(st.sampled_from([1, 10 ** 12]))
+    weights = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4]), min_size=1, max_size=60))
+    symbols = draw(st.lists(st.integers(0, 500), min_size=len(weights),
+                            max_size=len(weights), unique=True))
+    return {s: unit * w for s, w in zip(symbols, weights)}
+
+
 class TestCodings:
     @given(case=rle_cases())
     @RELAXED
@@ -177,6 +191,16 @@ class TestCodings:
         assert kraft_sum(lengths) == want_kraft
         cost = sum(freqs[s] * lengths[s] for s in freqs)
         assert cost == huffman_cost(freqs)
+
+    @given(freqs=tie_heavy_frequency_tables())
+    @example(freqs={5: 1})
+    @example(freqs={0: 2, 1: 2})
+    @example(freqs={0: 1, 1: 1, 2: 2, 3: 2})
+    @example(freqs={s: 1 for s in range(300)})
+    @example(freqs={s: 10 ** 12 for s in range(9)})
+    @RELAXED
+    def test_code_lengths_match_the_heap_construction(self, freqs):
+        assert huffman_code_lengths(freqs) == huffman_code_lengths_by_heap(freqs)
 
     @given(freqs=frequency_tables(), data=st.data())
     @RELAXED
@@ -236,7 +260,7 @@ class TestCodings:
         g = build_grammar(parse_xml(doc), max_rank=max_rank, use_dag=use_dag)
         blob = encode(g)
         h = decode(blob)
-        assert h.canonical_text() == g.canonical_text()
+        assert canonical_text(h) == canonical_text(g)
         assert encode(h) == blob
 
 

@@ -5,7 +5,7 @@ from treerepair.pruner import EDGES_THRESHOLD, FILESIZE_THRESHOLD
 from treerepair.slcf_grammar import SlcfGrammar
 
 from conftest import BOOKS, make_grammar, ranked_bt
-from oracles import same_structure, validate_grammar
+from oracles import canonical_text, same_structure, validate_grammar
 
 
 def three_production_grammar():
@@ -38,7 +38,7 @@ class TestEliminationOrder:
     def test_pruning_visits_users_before_their_suppliers(self):
         g, _ = three_production_grammar()
         prune(g, EDGES_THRESHOLD)
-        assert g.canonical_text() == (
+        assert canonical_text(g) == (
             "A_1(y) -> f/2(y,a/0)\n"
             "S -> f/2(f/2(A_1(a/0),a/0),A_1(f/2(A_1(a/0),a/0)))"
         )
@@ -52,7 +52,7 @@ class TestEliminationOrder:
         assert g.grammar_size() == 12
         assert g.sav(nts["A"]) == 0
         g.eliminate(nts["A"])
-        assert g.canonical_text() == (
+        assert canonical_text(g) == (
             "S -> f/2(f/2(f/2(a/0,a/0),a/0),f/2(f/2(f/2(a/0,a/0),a/0),a/0))"
         )
         assert g.grammar_size() == 12
@@ -64,7 +64,7 @@ class TestEliminationOrder:
         # reference count from 2 to 4
         g = books_replaced()
         prune(g, EDGES_THRESHOLD)
-        assert g.canonical_text() == (
+        assert canonical_text(g) == (
             "A_1 -> author^01(title^01(isbn^00))\n"
             "A_2(y) -> book^11(A_1,y)\n"
             "S -> books^10(A_2(A_2(A_2(A_2(book^10(A_1))))))"
@@ -80,7 +80,7 @@ class TestPhaseOne:
             ("S", 0, ("f/2", ["A", "b/0"])),
         ])
         prune(g, EDGES_THRESHOLD)
-        assert g.canonical_text() == "S -> f/2(g/1(a/0),b/0)"
+        assert canonical_text(g) == "S -> f/2(g/1(a/0),b/0)"
 
     def test_chain_helper_production_is_merged(self):
         g = SlcfGrammar.from_tree(ranked_bt(
@@ -88,7 +88,7 @@ class TestPhaseOne:
         ))
         run_replacement_step(g, build_index(g))
         prune(g, EDGES_THRESHOLD)
-        assert g.canonical_text() == "A_1(y) -> f/1(f/1(y))\nS -> A_1(A_1(A_1(a/0)))"
+        assert canonical_text(g) == "A_1(y) -> f/1(f/1(y))\nS -> A_1(A_1(A_1(a/0)))"
         assert g.grammar_size() == 5
 
 
@@ -101,15 +101,15 @@ class TestObjectives:
         g, nts = make_grammar(prods)
         assert g.sav(nts["A"]) == 2
         prune(g, EDGES_THRESHOLD)
-        assert g.canonical_text() == "A_1 -> g/2(a/0,b/0)\nS -> f/2(A_1,A_1)"
+        assert canonical_text(g) == "A_1 -> g/2(a/0,b/0)\nS -> f/2(A_1,A_1)"
         g, _ = make_grammar(prods)
         prune(g, FILESIZE_THRESHOLD)
-        assert g.canonical_text() == "S -> f/2(g/2(a/0,b/0),g/2(a/0,b/0))"
+        assert canonical_text(g) == "S -> f/2(g/2(a/0,b/0),g/2(a/0,b/0))"
 
     def test_books_file_size_objective_keeps_only_the_chain(self):
         g = books_replaced()
         prune(g, FILESIZE_THRESHOLD)
-        assert g.canonical_text() == (
+        assert canonical_text(g) == (
             "A_1 -> author^01(title^01(isbn^00))\n"
             "S -> books^10(book^11(A_1,book^11(A_1,book^11(A_1,"
             "book^11(A_1,book^10(A_1))))))"

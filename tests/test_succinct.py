@@ -29,8 +29,8 @@ from treerepair.bitio import BitReader, BitstreamEnd, bits_to_bytes
 from treerepair.slcf_grammar import PARAMETER
 
 from conftest import BOOKS, BOOKS_VALUES, flat_values, make_grammar, read_header
-from oracles import (bitwise_reader, huffman_cost, kraft_sum, prefix_free, read_block_by_reads,
-                     rle_expand, same_structure, validate_grammar)
+from oracles import (bitwise_reader, canonical_text, huffman_cost, kraft_sum, prefix_free,
+                     read_block_by_reads, rle_expand, same_structure, validate_grammar)
 
 
 def books_grammar():
@@ -452,9 +452,11 @@ class TestDecodeErrorPoints:
         (dict(blocks=((1, 2), (0,), (2, 1, 2))), "bad terminal id 2 in characteristic block"),
         (dict(blocks=((2, 2, 2), (0,), (1, 1))), "bad terminal id 2 in characteristic block"),
         (dict(blocks=((1000, 2, 2), (0,), (1, 1))), "bad terminal id 2 in characteristic block"),
+        # one name twice under one characteristic
+        (dict(blocks=((2, 1, 2), (0,), (0,)), names=b"a\x03a\x03"), "duplicate terminal a\\^00"),
     ], ids=["name-byte", "name-before-byte", "id-0", "id-max+1", "body-id-max+1",
             "body-id-0", "block-id-n+1", "block-id-0", "block-repeat", "block-repeat-inside",
-            "block-repeat-overcount"])
+            "block-repeat-overcount", "duplicate-name"])
     def test_message(self, parts, message):
         with pytest.raises(DecodeError, match=message):
             decode(r_of_a_stream(**parts))
@@ -541,7 +543,7 @@ class TestEncodedStream:
     def test_decode_restores_the_grammar(self):
         g = decode(BOOKS_BLOB)
         validate_grammar(g)
-        assert g.canonical_text() == books_grammar().canonical_text()
+        assert canonical_text(g) == canonical_text(books_grammar())
         assert encode(g) == BOOKS_BLOB
 
     def test_unicode_names_roundtrip(self):

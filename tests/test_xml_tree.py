@@ -1,5 +1,8 @@
 """Parsing, the binary tree model, and the arena primitives."""
 
+import copy
+import pickle
+
 import pytest
 
 from treerepair import ChildrenCharacteristic, ParseError, UnsupportedInputError, parse_xml, serialize_xml
@@ -49,6 +52,13 @@ class TestTerminalSymbol:
         assert repr(a) == "f/2"
         assert repr(TerminalSymbol("book", characteristic=CC.TWO_CHILDREN)) == "book^11"
         assert TerminalSymbol("f", rank=2) != TerminalSymbol("f", characteristic=CC.TWO_CHILDREN)
+
+    def test_is_its_tuple_and_survives_copy_and_pickle(self):
+        for sym, plain in ((TerminalSymbol("f", rank=2), ("f", None, 2)),
+                           (TerminalSymbol("b", CC.NO_LEFT_CHILD), ("b", CC.NO_LEFT_CHILD, 1))):
+            assert sym == plain and hash(sym) == hash(plain)
+            for twin in (copy.copy(sym), copy.deepcopy(sym), pickle.loads(pickle.dumps(sym))):
+                assert twin == sym and type(twin) is TerminalSymbol
 
 
 class TestParse:
