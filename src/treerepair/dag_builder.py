@@ -25,27 +25,28 @@ def build_dag_grammar(bt: BinaryTree) -> SlcfGrammar:
     """
     g = SlcfGrammar(bt.tree, bt.terminal_order)
     t = g.arena
+    labels, children = t.labels, t.children
     # Depth-1 view -> first node seen with it, or its nonterminal once
     # the view has been seen twice.
     table = {}
 
     def key(v):
-        return (t.labels[v], tuple(t.labels[c] for c in t.children[v]))
+        return (labels[v], tuple(map(labels.__getitem__, children[v])))
 
     def flat(v):
-        return all(not t.children[c] for c in t.children[v])
+        return not any(map(children.__getitem__, children[v]))
 
     def to_reference(v, nt):
-        for c in t.children[v]:
+        for c in children[v]:
             g.kill_node(c)
-        t.children[v] = []
+        children[v] = []
         g.relabel(v, nt)
 
     # Children first.  Leaves stay literal; a node with a non-atomic child
     # is skipped (its turn comes via the retroactive offer below when that
     # child gets shared).
     for v in list(t.iter_postorder(bt.root)):
-        if not t.children[v] or not flat(v):
+        if not children[v] or not flat(v):
             continue
         k = key(v)
         hit = table.get(k)

@@ -23,11 +23,10 @@ in tie-breaking.  ``pop_most_frequent`` hands out record ids;
 ``digram(r)`` and ``head(r)`` read a record's digram and its oldest
 occurrence off the head edge of its list.
 
-The lists change through one pair of primitives: ``_link(nodes)`` lists
-the parent edge of each given node and ``_unlink(nodes)`` drops it.  A
-replacement at v unlinks, and then links again, the edges into v (its
-parent edge, or the reference edges of its production when v is a rhs
-root) and v's child edges.
+Only three methods change the lists: ``link(nodes)`` lists the parent
+edge of each given node, ``unlink(nodes)`` drops it, and ``adopt(old,
+new)`` hands an entry from one node to another in place.  Which edges a
+rewrite touches is the replacer's business (``replace_occurrence``).
 
 Digram priorities live in sqrt(n) frequency buckets plus an unsorted top
 list for frequencies >= sqrt(n) (n = edge count of the input tree).  Only
@@ -128,18 +127,21 @@ class DigramIndex:
 
     # -- list updates ------------------------------------------------------------
 
-    def _link(self, nodes):
+    def link(self, nodes):
         """Append the parent edges of ``nodes`` to their digrams' lists.
 
-        An edge whose digram exceeds the rank bound is not listed.  Nor is
-        a cross-production edge (the node is a DAG-nonterminal reference)
-        with equal parent and resolved child symbol: overlapping occurrence
-        chains across a shared production cannot be maintained
+        The edge arrays first grow over nodes created since they were last
+        sized.  An edge whose digram exceeds the rank bound is not listed.
+        Nor is a cross-production edge (the node is a DAG-nonterminal
+        reference) with equal parent and resolved child symbol: overlapping
+        occurrence chains across a shared production cannot be maintained
         consistently, so such digrams are never offered for replacement.
         """
         g = self.g
         ar = g.arena
         labels, parents, pindex = ar.labels, ar.parents, ar.pindex
+        if len(self._slot) < len(labels):
+            self._grow()
         sid = self._sid
         records = self.records
         slot, nxt, prv = self._slot, self._next, self._prev
@@ -192,7 +194,7 @@ class DigramIndex:
             if n >= 2:
                 self._requeue(r, n - 1, n)
 
-    def _unlink(self, nodes):
+    def unlink(self, nodes):
         """Drop the edges ending in ``nodes`` from their lists (those that
         are on one)."""
         slot, nxt, prv = self._slot, self._next, self._prev
@@ -241,42 +243,6 @@ class DigramIndex:
         self._prev[new] = prev
         self._next[new] = nxt
         self._slot[old] = FREE
-
-    # -- absorbed / fresh occurrences around one replacement ------------------------
-
-    def _edges_into(self, v):
-        """Child nodes of the edges into v: v itself, or the references to
-        v's production when v is a rhs root."""
-        g = self.g
-        if g.arena.parents[v] != -1:
-            return (v,)
-        return g.refs[g.root_to_prod[v]]
-
-    def remove_absorbed(self, v, j):
-        """Drop every occurrence a replacement at (v, j) invalidates.
-
-        These are the edges into v, all of v's child edges and all child
-        edges of the vanishing child v_j.  Runs before any label or
-        structure change.
-        """
-        children = self.g.arena.children
-        kids = children[v]
-        self._unlink(self._edges_into(v))
-        self._unlink(kids)
-        self._unlink(children[kids[j - 1]])
-
-    def add_new(self, v):
-        """Register the edges a replacement at v created: the edges into v
-        and v's child edges.
-
-        Unconditional (no overlap re-checks): entries of one digram may
-        transiently overlap after this, which is harmless because
-        remove_absorbed drops conflicting entries before they could both
-        be replaced.
-        """
-        self._grow()
-        self._link(self._edges_into(v))
-        self._link(self.g.arena.children[v])
 
     # -- priority queue --------------------------------------------------------------
 
@@ -344,7 +310,7 @@ def build_index(grammar: SlcfGrammar, n_edges=None, max_rank=None) -> DigramInde
             if v == root:
                 continue
             lv = labels[v]
-            # A DAG reference is always linked (_link applies the
+            # A DAG reference is always linked (link applies the
             # equal-symbol skip).  Otherwise, v itself already chosen as an
             # occurrence of the same digram means (p, v) would overlap it;
             # skip then.
@@ -355,5 +321,5 @@ def build_index(grammar: SlcfGrammar, n_edges=None, max_rank=None) -> DigramInde
                         and lv == labels[parents[v]]
                         and g.resolve_label(labels[kids[i - 1]]) == lv):
                     continue
-            idx._link((v,))
+            idx.link((v,))
     return idx

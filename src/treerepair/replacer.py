@@ -61,30 +61,43 @@ def _split_shared(g: SlcfGrammar, idx: DigramIndex, X):
 
 
 def replace_occurrence(g: SlcfGrammar, idx: DigramIndex, v, j, A):
-    """Rewrite the single occurrence at (v, j) to the nonterminal A."""
+    """Rewrite the single occurrence at (v, j) to the nonterminal A.
+
+    Before any label or structure change, the edges the rewrite absorbs
+    leave the index: the edges into v (its parent edge, or the references
+    to its production when v is a rhs root), v's child edges and those of
+    the vanishing child w.  After it, the edges into v and v's new child
+    edges are listed without an overlap re-check.  Entries of one digram
+    may overlap for a while; that is harmless, as rewriting either one
+    unlinks the other before it could be rewritten too.
+    """
     ar = g.arena
-    kids = ar.children[v]
+    children = ar.children
+    kids = children[v]
     w = kids[j - 1]
     lw = ar.labels[w]
-    inner = ar.children[w]
+    inner = children[w]
     if isinstance(lw, Nonterminal) and lw.is_dag:
         root = g.productions[lw.id].root
         if len(g.refs[lw.id]) > 1:
             _split_shared(g, idx, lw)
-            inner = [g.new_node(ar.labels[c]) for c in ar.children[root]]
+            inner = [g.new_node(ar.labels[c]) for c in children[root]]
         else:
-            # The splice must come before remove_absorbed so that the
-            # child edges of the spliced root count as absorbed.
+            # Splice first: w becomes the root, whose child edges go.
             idx.adopt(w, root)
             g.eliminate(lw)
             w = root
-            inner = ar.children[w]
-    idx.remove_absorbed(v, j)
+            inner = children[w]
+    into = (v,) if ar.parents[v] != -1 else g.refs[g.root_to_prod[v]]
+    idx.unlink(into)
+    idx.unlink(kids)
+    idx.unlink(children[w])
     kids[j - 1:j] = inner
     g.relabel(v, A)
     g.kill_node(w)
     ar.set_children(v, kids)
-    idx.add_new(v)
+    idx.link(into)
+    idx.link(kids)
 
 
 def run_replacement_step(g: SlcfGrammar, idx: DigramIndex):

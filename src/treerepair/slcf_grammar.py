@@ -287,13 +287,21 @@ class SlcfGrammar:
         value counts its rhs terminals plus the values of the productions it
         references (parameters count 0), saturated at ``node_cap + 1``.  One
         walk per rhs counts its terminals and its references to each
-        production and numbers its parameter leaves in preorder; the map
-        from parameter leaf to that index is returned.
+        production and numbers its parameter leaves in preorder.
+
+        Returns the map from parameter leaf to that index, and the entry
+        table: production id -> the rhs node a derivation enters at a
+        reference to it.  That is the rhs root, except for an alias body
+        ``A(y..) -> B(y..)``, one reference whose children are all
+        parameters: it hands its arguments on unchanged, so A's entry is
+        B's.  Filled in the dependency order, the table collapses a chain
+        of aliases once, not once per use.
         """
         labels, children = self.arena.labels, self.arena.children
         terminals = {}
         refs = {}
         param_index = {}
+        alias = {}
         for i, prod in self.productions.items():
             count = n = 0
             used = refs[i] = {}
@@ -311,13 +319,19 @@ class SlcfGrammar:
                     count += 1
                 stack.extend(reversed(children[v]))
             terminals[i] = count
+            if not count and tuple(used.values()) == (1,):
+                # the root is the one reference, all else parameter leaves
+                alias[i] = labels[prod.root].id
         size = {}
+        entry = {i: p.root for i, p in self.productions.items()}
         for i in _dependency_order(refs):
             total = terminals[i] + sum([size[j] * k for j, k in refs[i].items()])
             size[i] = min(total, node_cap + 1)
+            if i in alias:
+                entry[i] = entry[alias[i]]
         if size[self.start_id] > node_cap:
             raise GrammarError("unfolded value exceeds %d nodes" % node_cap)
-        return param_index
+        return param_index, entry
 
     def unfold_value(self, node_cap=DEFAULT_NODE_CAP) -> BinaryTree:
         """Derive the grammar's value as a fresh tree.
@@ -326,7 +340,7 @@ class SlcfGrammar:
         raises GrammarError before any output node exists.
         """
         t = self.arena
-        param_index = self._check_value_size(node_cap)
+        param_index, entry = self._check_value_size(node_cap)
         out = Tree()
         start_root = self.start().root
         root = out.new_node(None)
@@ -342,7 +356,7 @@ class SlcfGrammar:
                 label = t.labels[src]
             if isinstance(label, Nonterminal):
                 inner_env = tuple((c, env) for c in t.children[src])
-                stack.append((self.productions[label.id].root, inner_env, dst))
+                stack.append((entry[label.id], inner_env, dst))
                 continue
             out.labels[dst] = label
             kids = [out.new_node(None) for _ in t.children[src]]
@@ -359,9 +373,8 @@ class SlcfGrammar:
         written.  A value whose root is not an XML-origin root raises
         UnsupportedInputError.
         """
-        param_index = self._check_value_size(node_cap)
-        rhs_roots = {i: p.root for i, p in self.productions.items()}
-        return _write_tags(self.arena, self.start().root, rhs_roots, param_index)
+        param_index, entry = self._check_value_size(node_cap)
+        return _write_tags(self.arena, self.start().root, entry, param_index)
 
 
 class _Tags(dict):
@@ -406,7 +419,7 @@ def _dependency_order(refs) -> list:
     return order
 
 
-def _write_tags(arena, root, rhs_roots, param_index) -> bytes:
+def _write_tags(arena, root, entry, param_index) -> bytes:
     """XML of the value derived from ``root``, in one walk over the rhs nodes.
 
     This is traversal of an SLCF grammar's value without decompressing it
@@ -417,7 +430,7 @@ def _write_tags(arena, root, rhs_roots, param_index) -> bytes:
     sibling; a node without one writes an empty tag and goes on to its next
     sibling.  Work items are ``unfold_value``'s (rhs node, parameter
     environment) pairs; close tags wait on the same stack as shared strings.
-    ``rhs_roots`` (nonterminal id -> rhs root) and ``param_index`` are only
+    ``entry`` and ``param_index`` (both from ``_check_value_size``) are only
     read at references and parameters, which a plain tree has none of.
     """
     labels, children = arena.labels, arena.children
@@ -442,7 +455,7 @@ def _write_tags(arena, root, rhs_roots, param_index) -> bytes:
                     kids = children[v]
                     if kids:  # a rank-0 rhs has no parameters to look up
                         env = [(c, env) for c in kids]
-                    v = rhs_roots[label.id]
+                    v = entry[label.id]
                 label = labels[v]
             bits, tag, close_tag = tags[label]
             if at_root:

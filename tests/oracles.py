@@ -11,8 +11,8 @@ import heapq
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-from treerepair import (PARAMETER, ChildrenCharacteristic, DecodeError, Nonterminal,
-                        decode, decompress_tree, serialize_xml)
+from treerepair import (PARAMETER, BinaryTree, ChildrenCharacteristic, DecodeError,
+                        Nonterminal, Tree, decode, decompress_tree, serialize_xml)
 from treerepair.digram_index import END
 
 
@@ -453,6 +453,27 @@ def _xml_rooted(g):
     if label.characteristic != ChildrenCharacteristic.NO_RIGHT_CHILD:
         raise DecodeError("derived root has characteristic %s, not an "
                           "XML-origin tree" % label.characteristic.bits)
+
+
+def value_by_substitution(g):
+    """g's value as a BinaryTree, by textbook recursive substitution: a
+    reference derives its arguments, then its rhs with the i-th parameter
+    leaf in preorder replaced by the i-th argument."""
+    t = g.arena
+    out = Tree()
+
+    def derive(v, args):
+        label = t.labels[v]
+        if label is PARAMETER:
+            return next(args)
+        kids = [derive(c, args) for c in t.children[v]]
+        if isinstance(label, Nonterminal):
+            return derive(g.productions[label.id].root, iter(kids))
+        node = out.new_node(label)
+        out.set_children(node, kids)
+        return node
+
+    return BinaryTree(out, derive(g.start().root, iter(())), g.terminal_order)
 
 
 def decompress_bytes_by_unfolding(blob, node_cap):

@@ -26,11 +26,13 @@ from treerepair import (
     encode,
     gather_stats,
     parse_xml,
+    serialize_xml,
 )
 from treerepair.fixtures import gen_M, gen_perfect_binary, gen_U
+from treerepair.pipeline import DEFAULT_NODE_CAP
 
 from conftest import BOOKS, random_xml
-from oracles import binary_shape, canonical_text
+from oracles import binary_shape, canonical_text, decompress_bytes_by_unfolding
 
 ALL_COMBOS = [
     (max_rank, optimize, use_dag)
@@ -157,6 +159,45 @@ def reference_root_stream(root_char):
     g.arena.set_children(s, [g.new_node(a) for _ in range(r.rank)])
     g.add_production(g.new_nonterminal(0, is_dag=False), s, start=True)
     return encode(g)
+
+
+def alias_chain_stream(p, m):
+    """Stream of A_0 -> b, A_i -> A_(i-1) for i = 1..p and S -> r(c(A_p,
+    c(A_p, .. c(A_p)))), A_p used m times: the value <r><c><b/></c>..</r>
+    of 2m + 1 nodes, which a walk per use derives through p * m references."""
+    r = TerminalSymbol("r", ChildrenCharacteristic.NO_RIGHT_CHILD)
+    c = TerminalSymbol("c", ChildrenCharacteristic.TWO_CHILDREN)
+    last = TerminalSymbol("c", ChildrenCharacteristic.NO_RIGHT_CHILD)
+    b = TerminalSymbol("b", ChildrenCharacteristic.NO_CHILDREN)
+    g = SlcfGrammar(Tree(), [r, c, last, b])
+    prev = g.new_nonterminal(0, is_dag=False)
+    g.add_production(prev, g.new_node(b))
+    for _ in range(p):
+        nt = g.new_nonterminal(0, is_dag=False)
+        g.add_production(nt, g.new_node(prev))
+        prev = nt
+    top = g.new_node(last)
+    g.arena.set_children(top, [g.new_node(prev)])
+    for _ in range(m - 1):
+        kid, top = top, g.new_node(c)
+        g.arena.set_children(top, [g.new_node(prev), kid])
+    s = g.new_node(r)
+    g.arena.set_children(s, [top])
+    g.add_production(g.new_nonterminal(0, is_dag=False), s, start=True)
+    return encode(g)
+
+
+class TestAliasChain:
+    def test_chain_is_followed_once(self):
+        blob = alias_chain_stream(4000, 4000)
+        want = b"<r>" + b"<c><b/></c>" * 4000 + b"</r>"
+        assert decompress_bytes_by_unfolding(blob, DEFAULT_NODE_CAP) == want
+        # 16 M reference steps if each use walked the chain
+        started = time.perf_counter()
+        written, tree = decompress_bytes(blob), decompress_tree(blob)
+        assert time.perf_counter() - started < 0.5
+        assert written == want
+        assert serialize_xml(tree) == want
 
 
 class TestDerivedRoot:

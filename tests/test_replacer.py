@@ -1,6 +1,11 @@
 """Digram replacement: pattern production, splice, shared-production cases."""
 
-from treerepair import build_index, parse_xml, run_replacement_step
+import cProfile
+import pstats
+
+from treerepair import (build_index, compress_tree, compress_xml_bytes, digram_index,
+                        parse_xml, replacer, run_replacement_step)
+from treerepair.fixtures import gen_M
 from treerepair.replacer import pattern_tree, replace_occurrence
 from treerepair.slcf_grammar import SlcfGrammar
 
@@ -114,3 +119,27 @@ class TestSharedChild:
             run_replacement_step(g, build_index(g))
             validate_grammar(g)
             assert same_structure(g.unfold_value(), parse_xml(data)), data
+
+
+class TestIndexProtocol:
+    """Call counts, not wall time: a rewrite drives the digram index
+    through unlink and link alone, plus adopt for a spliced DAG child."""
+
+    def test_each_rewrite_unlinks_three_times_and_links_twice(self):
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            compress_tree(gen_M(3))
+            compress_xml_bytes(random_xml(5, max_nodes=300))
+        finally:
+            profiler.disable()
+        stats = pstats.Stats(profiler).stats
+        rewrite, = [f for f in stats
+                    if f[0] == replacer.__file__ and f[2] == "replace_occurrence"]
+        rewrites = stats[rewrite][1]
+        assert rewrites > 0
+        called = {f[2]: callers[rewrite][0]
+                  for f, (*_, callers) in stats.items()
+                  if f[0] == digram_index.__file__ and rewrite in callers}
+        assert called.pop("adopt") > 0
+        assert called == {"unlink": 3 * rewrites, "link": 2 * rewrites}
