@@ -23,10 +23,11 @@ in tie-breaking.  ``pop_most_frequent`` hands out record ids;
 ``digram(r)`` and ``head(r)`` read a record's digram and its oldest
 occurrence off the head edge of its list.
 
-Only three methods change the lists: ``link(nodes)`` lists the parent
-edge of each given node, ``unlink(nodes)`` drops it, and ``adopt(old,
-new)`` hands an entry from one node to another in place.  Which edges a
-rewrite touches is the replacer's business (``replace_occurrence``).
+Only two methods change the lists: ``link(nodes)`` lists the parent edge
+of each given node and ``unlink(nodes)`` drops it.  A node never changes
+the edge it ends: grammar rewrites keep a subtree's top node in place and
+change its label and children.  Which edges a rewrite touches is the
+replacer's business (``replace_occurrence``).
 
 Digram priorities live in sqrt(n) frequency buckets plus an unsorted top
 list for frequencies >= sqrt(n) (n = edge count of the input tree).  Only
@@ -84,14 +85,6 @@ class DigramIndex:
         self.top = self.buckets[self.bucket_limit]
         self.cursor = self.bucket_limit - 1
 
-    def _grow(self):
-        """Extend the edge arrays over nodes created since the last call."""
-        n = len(self.g.arena.labels) - len(self._slot)
-        if n > 0:
-            self._slot.extend([FREE] * n)
-            self._next.extend([END] * n)
-            self._prev.extend([END] * n)
-
     # -- placement -----------------------------------------------------------
 
     def _requeue(self, r, old, new):
@@ -140,8 +133,11 @@ class DigramIndex:
         g = self.g
         ar = g.arena
         labels, parents, pindex = ar.labels, ar.parents, ar.pindex
-        if len(self._slot) < len(labels):
-            self._grow()
+        grow = len(labels) - len(self._slot)
+        if grow > 0:
+            self._slot.extend([FREE] * grow)
+            self._next.extend([END] * grow)
+            self._prev.extend([END] * grow)
         sid = self._sid
         records = self.records
         slot, nxt, prv = self._slot, self._next, self._prev
@@ -218,31 +214,6 @@ class DigramIndex:
             count[r] = n - 1
             if n >= 2:
                 self._requeue(r, n, n - 1)
-
-    def adopt(self, old, new):
-        """The edge that ended in node ``old`` now ends in ``new``.
-
-        Its list entry, if any, passes to ``new`` in place; the digram key
-        must be unchanged.  ``new`` must not end a listed edge.
-        """
-        self._grow()
-        r = self._slot[old]
-        if r == FREE:
-            return
-        prev = self._prev[old]
-        nxt = self._next[old]
-        if prev == END:
-            self._head[r] = new
-        else:
-            self._next[prev] = new
-        if nxt == END:
-            self._tail[r] = new
-        else:
-            self._prev[nxt] = new
-        self._slot[new] = r
-        self._prev[new] = prev
-        self._next[new] = nxt
-        self._slot[old] = FREE
 
     # -- priority queue --------------------------------------------------------------
 

@@ -10,10 +10,12 @@ across the whole run.  The loop ends when no digram has two occurrences
 
 An occurrence whose child is a reference to a DAG production is first
 turned into a plain one.  A production used only once is eliminated, which
-splices its rhs into the use.  A shared production is made flat: every
-child subtree of its root moves into a fresh rank-0 production of the DAG
-namespace, and the occurrence's node adopts references to those in place
-of the child's children.
+splices its rhs into the reference node itself.  A shared production is
+made flat: each child of its root becomes a reference to a rank-0
+production of the DAG namespace (a fresh one unless it is a DAG reference
+already), and the occurrence's node gets fresh references to the same
+productions in place of the child's children.  Both keep every node in
+place, so no index entry changes hands.
 """
 
 from __future__ import annotations
@@ -40,24 +42,20 @@ def pattern_tree(g: SlcfGrammar, parent, index, child):
     return root
 
 
-def _split_shared(g: SlcfGrammar, idx: DigramIndex, X):
+def _split_shared(g: SlcfGrammar, X):
     """Flatten a multiply-referenced DAG production to depth 1.
 
-    Child subtrees of its root are moved into fresh rank-0 DAG
-    productions; children that already are DAG references stay.  Digram
-    keys of the root's edges are unchanged because the fresh references
-    resolve to the labels the subtrees had, so each edge only hands its
-    index entry over to the new reference node.  Idempotent: a second
-    call finds only DAG references.
+    Each child of its root that is not a DAG reference already is shared
+    in place: it becomes a reference to a fresh rank-0 DAG production that
+    holds its subtree.  Digram keys of the root's edges are unchanged
+    because the fresh references resolve to the labels the children had.
+    Idempotent: a second call finds only DAG references.
     """
     ar = g.arena
-    r = g.productions[X.id].root
-    for pos, c in enumerate(ar.children[r]):
+    for c in ar.children[g.productions[X.id].root]:
         lc = ar.labels[c]
-        if isinstance(lc, Nonterminal) and lc.is_dag:
-            continue
-        g.share(c)
-        idx.adopt(c, ar.children[r][pos])
+        if not (isinstance(lc, Nonterminal) and lc.is_dag):
+            g.share(c)
 
 
 def replace_occurrence(g: SlcfGrammar, idx: DigramIndex, v, j, A):
@@ -78,15 +76,13 @@ def replace_occurrence(g: SlcfGrammar, idx: DigramIndex, v, j, A):
     lw = ar.labels[w]
     inner = children[w]
     if isinstance(lw, Nonterminal) and lw.is_dag:
-        root = g.productions[lw.id].root
         if len(g.refs[lw.id]) > 1:
-            _split_shared(g, idx, lw)
+            _split_shared(g, lw)
+            root = g.productions[lw.id].root
             inner = [g.new_node(ar.labels[c]) for c in children[root]]
         else:
-            # Splice first: w becomes the root, whose child edges go.
-            idx.adopt(w, root)
+            # Splice first: w takes the rhs root's children, whose edges go.
             g.eliminate(lw)
-            w = root
             inner = children[w]
     into = (v,) if ar.parents[v] != -1 else g.refs[g.root_to_prod[v]]
     idx.unlink(into)

@@ -7,10 +7,10 @@ acyclic, so it derives exactly one tree, its value.  The i-th parameter
 corresponds to the i-th parameter leaf of t in preorder, so the single
 symbol ``y`` suffices for all parameter occurrences.
 
-All right-hand sides live in one shared node arena; nodes move between
-productions when a singly-referenced production is spliced into its use
-site, which keeps node identities (and the digram index entries keyed by
-them) stable.
+All right-hand sides live in one shared node arena.  Sharing and
+elimination rewrite a reference node in place: the node a subtree hangs
+from keeps its identity, and with it the parent edge that the digram index
+names by it; only labels and child lists change.
 """
 
 from __future__ import annotations
@@ -195,23 +195,28 @@ class SlcfGrammar:
     # -- sharing and elimination ---------------------------------------------------
 
     def share(self, v):
-        """Move the subtree at v into a fresh rank-0 DAG production.
+        """Make v a reference to a fresh rank-0 DAG production.
 
-        A reference to the new nonterminal takes v's place under its
-        parent (v must not be a production root); v becomes the rhs root.
+        v keeps its place under its parent and takes the new nonterminal
+        as its label; a fresh node, the rhs root, takes v's former label
+        and children (v must not be a production root).
         """
         t = self.arena
         nt = self.new_nonterminal(0, is_dag=True)
-        t.put(t.parents[v], t.pindex[v], self.new_node(nt))
-        self.add_production(nt, v)
+        root = self.new_node(t.labels[v])
+        kids = t.children[v]
+        t.children[v] = []
+        t.set_children(root, kids)
+        self.relabel(v, nt)
+        self.add_production(nt, root)
         return nt
 
     def _substitute_parameters(self, root, args):
         """Replace the i-th preorder parameter leaf under root by args[i].
 
-        The argument subtrees are moved, not copied.  Returns the root
-        (unchanged; a bare-parameter rhs is illegal, and the decoder rejects
-        one, so root is never a parameter leaf itself).
+        The argument subtrees are moved, not copied.  Root is never a
+        parameter leaf itself: a bare-parameter rhs is illegal, and the
+        decoder rejects one.
         """
         t = self.arena
         n = 0
@@ -226,46 +231,44 @@ class SlcfGrammar:
                 continue
             stack.extend(reversed(t.children[v]))
         assert n == len(args)
-        return root
 
     def eliminate(self, nt):
         """Remove a non-start production, substituting its rhs at each use.
 
-        The last reference receives the original rhs nodes (a splice); any
-        earlier ones receive copies.  With a single reference this moves
-        nodes without copying, so reference counts of all other
-        nonterminals are unchanged.
+        Each reference node takes the rhs root's label; the last one gets
+        the root's children (a splice), any earlier ones copies of them.
+        With a single reference this moves nodes without copying, so
+        reference counts of all other nonterminals are unchanged.
         """
         if nt.id == self.start_id:
             raise GrammarError("cannot eliminate the start production")
         t = self.arena
         prod = self.productions.pop(nt.id)
-        del self.root_to_prod[prod.root]
+        root = prod.root
+        del self.root_to_prod[root]
+        label = t.labels[root]
         ref_nodes = list(self.refs.pop(nt.id))
         for k, r in enumerate(ref_nodes):
             args = t.children[r]
+            # r's refs entry went with the pop
+            t.labels[r] = label
+            if isinstance(label, Nonterminal):
+                self.refs[label.id][r] = None
             if k == len(ref_nodes) - 1:
-                body = prod.root
+                kids = t.children[root]
+                t.children[root] = []  # kill clears the list in place
             else:
                 first = len(t)
-                body = t.copy_subtree(prod.root)
+                kids = [t.copy_subtree(c) for c in t.children[root]]
                 # Register the copy's references in creation order.
                 for v in range(first, len(t)):
-                    label = t.labels[v]
-                    if isinstance(label, Nonterminal):
-                        self.refs[label.id][v] = None
+                    copied = t.labels[v]
+                    if isinstance(copied, Nonterminal):
+                        self.refs[copied.id][v] = None
+            t.set_children(r, kids)
             if nt.rank:
-                self._substitute_parameters(body, args)
-            p = t.parents[r]
-            if p == -1:
-                # rhs root of another production was a bare reference
-                owner = self.root_to_prod.pop(r)
-                self.productions[owner].root = body
-                self.root_to_prod[body] = owner
-                t.parents[body] = -1
-            else:
-                t.put(p, t.pindex[r], body)
-            t.kill(r)  # its refs entry went with the pop
+                self._substitute_parameters(r, args)
+        self.kill_node(root)
 
     def splice_single_refs(self):
         """Eliminate every non-start production referenced exactly once.

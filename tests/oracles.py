@@ -203,13 +203,15 @@ def validate_tree(bt):
 def validate_grammar(g):
     """Check an SlcfGrammar's invariants; raises AssertionError.
 
-    Every production is owned by its root, ranks match child counts,
-    references are registered in ``refs``, each rhs has as many parameters
-    as its rank and is not a bare parameter, every non-start production is
-    used, and the grammar is acyclic.
+    Every production is owned by its root and every root entry by a
+    production, ranks match child counts, references are registered in
+    ``refs``, each rhs has as many parameters as its rank and is not a bare
+    parameter, every non-start production is used, and the grammar is
+    acyclic.
     """
     t = g.arena
     assert g.start_id in g.productions
+    assert len(g.root_to_prod) == len(g.productions), "stale root entry"
     seen_refs = {i: 0 for i in g.productions}
     for i, prod in g.productions.items():
         assert prod.nt.id == i

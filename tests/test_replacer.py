@@ -4,7 +4,7 @@ import cProfile
 import pstats
 
 from treerepair import (build_index, compress_tree, compress_xml_bytes, digram_index,
-                        parse_xml, replacer, run_replacement_step)
+                        parse_xml, replacer, run_replacement_step, slcf_grammar)
 from treerepair.fixtures import gen_M
 from treerepair.replacer import pattern_tree, replace_occurrence
 from treerepair.slcf_grammar import SlcfGrammar
@@ -123,7 +123,7 @@ class TestSharedChild:
 
 class TestIndexProtocol:
     """Call counts, not wall time: a rewrite drives the digram index
-    through unlink and link alone, plus adopt for a spliced DAG child."""
+    through unlink and link alone."""
 
     def test_each_rewrite_unlinks_three_times_and_links_twice(self):
         profiler = cProfile.Profile()
@@ -141,5 +141,11 @@ class TestIndexProtocol:
         called = {f[2]: callers[rewrite][0]
                   for f, (*_, callers) in stats.items()
                   if f[0] == digram_index.__file__ and rewrite in callers}
-        assert called.pop("adopt") > 0
         assert called == {"unlink": 3 * rewrites, "link": 2 * rewrites}
+        # Both DAG branches ran: a shared child was split, a single-use
+        # one spliced.
+        branches = {f[2] for f, (*_, callers) in stats.items()
+                    if rewrite in callers
+                    and (f[0], f[2]) in {(replacer.__file__, "_split_shared"),
+                                         (slcf_grammar.__file__, "eliminate")}}
+        assert branches == {"_split_shared", "eliminate"}

@@ -121,6 +121,105 @@ class TestEliminate:
         assert same_structure(g.unfold_value(), want)
 
 
+def slot(t, v):
+    return t.parents[v], t.pindex[v]
+
+
+class TestNodeIdentity:
+    """Sharing and elimination rewrite the reference node in place: the
+    node under a parent keeps its slot, only its label and children
+    change."""
+
+    def test_share_keeps_the_node_as_the_reference(self):
+        g, nts = make_grammar([
+            ("A", 1, ("k/1", ["y"])),
+            ("S", 0, ("f/2", [("A", [("g/1", ["a/0"])]), "b/0"])),
+        ])
+        t = g.arena
+        v = t.children[g.start().root][0]
+        where, kids = slot(t, v), t.children[v]
+        dag = g.share(v)
+        assert slot(t, v) == where
+        assert t.labels[v] is dag and dag.is_dag and t.children[v] == []
+        assert list(g.refs[dag.id]) == [v]
+        root = g.productions[dag.id].root
+        assert root != v and g.root_to_prod[root] == dag.id
+        assert t.labels[root] is nts["A"] and t.children[root] is kids
+        assert [slot(t, c) for c in kids] == [(root, 1)]
+        assert list(g.refs[nts["A"].id]) == [root]
+        assert canonical_text(g) == (
+            "A_1(y) -> k/1(y)\nA_2 -> A_1(g/1(a/0))\nS -> f/2(A_2,b/0)")
+        validate_grammar(g)
+
+    def test_eliminating_a_single_use_splices_into_the_reference(self):
+        g, nts = make_grammar([
+            ("A", 0, ("g/1", ["a/0"])),
+            ("S", 0, ("f/2", ["A", "b/0"])),
+        ])
+        t = g.arena
+        r, = g.refs[nts["A"].id]
+        where, root = slot(t, r), g.productions[nts["A"].id].root
+        label, kids = t.labels[root], list(t.children[root])
+        g.eliminate(nts["A"])
+        assert slot(t, r) == where
+        assert t.labels[r] == label and t.children[r] == kids
+        assert [slot(t, c) for c in kids] == [(r, 1)]
+        assert t.labels[root] is None
+        assert canonical_text(g) == "S -> f/2(g/1(a/0),b/0)"
+        validate_grammar(g)
+
+    def test_eliminating_a_shared_production_copies_into_the_references(self):
+        g, nts = make_grammar([
+            ("A", 0, ("g/1", ["a/0"])),
+            ("S", 0, ("f/3", ["A", "b/0", "A"])),
+        ])
+        t = g.arena
+        first, last = g.refs[nts["A"].id]
+        where = [slot(t, first), slot(t, last)]
+        root = g.productions[nts["A"].id].root
+        label, kids = t.labels[root], list(t.children[root])
+        g.eliminate(nts["A"])
+        assert [slot(t, first), slot(t, last)] == where
+        assert t.labels[first] == label and t.labels[last] == label
+        assert t.children[last] == kids
+        copy, = t.children[first]
+        assert copy not in kids and t.labels[copy] == t.labels[kids[0]]
+        assert canonical_text(g) == "S -> f/3(g/1(a/0),b/0,g/1(a/0))"
+        validate_grammar(g)
+
+    def test_arguments_move_under_the_reference(self):
+        g, nts = make_grammar([
+            ("A", 2, ("g/3", ["y", "c/0", "y"])),
+            ("S", 0, ("f/1", [("A", ["a/0", "b/0"])])),
+        ])
+        t = g.arena
+        r, = g.refs[nts["A"].id]
+        where, (a, b) = slot(t, r), t.children[r]
+        g.eliminate(nts["A"])
+        assert slot(t, r) == where
+        assert t.labels[r].name == "g"
+        kids = t.children[r]
+        assert (kids[0], kids[2]) == (a, b)
+        assert [slot(t, c) for c in kids] == [(r, 1), (r, 2), (r, 3)]
+        assert canonical_text(g) == "S -> f/1(g/3(a/0,c/0,b/0))"
+        validate_grammar(g)
+
+    def test_a_reference_at_a_production_root_stays_that_root(self):
+        g, nts = make_grammar([
+            ("A", 0, ("h/2", ["a/0", "b/0"])),
+            ("B", 0, "A"),
+            ("S", 0, ("f/2", ["B", "B"])),
+        ])
+        t = g.arena
+        owner = g.productions[nts["B"].id].root
+        g.eliminate(nts["A"])
+        assert g.productions[nts["B"].id].root == owner
+        assert g.root_to_prod[owner] == nts["B"].id
+        assert t.parents[owner] == -1 and t.labels[owner].name == "h"
+        assert canonical_text(g) == "A_1 -> h/2(a/0,b/0)\nS -> f/2(A_1,A_1)"
+        validate_grammar(g)
+
+
 class TestAccounting:
     def test_replacement_stage_sizes_refs_and_savings(self):
         g = books_g4()
