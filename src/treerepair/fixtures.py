@@ -14,26 +14,16 @@ _CC = ChildrenCharacteristic
 
 def _perfect(depth, leaf_symbols):
     """Perfect binary tree over f of the given depth; one leaf symbol per
-    leaf position, cycled if fewer are given."""
+    leaf position, cycled if fewer are given.  In preorder, leaf k > 0
+    follows one f per trailing zero bit of k, and leaf 0 follows depth f."""
     f = TerminalSymbol("f", _CC.TWO_CHILDREN)
+    labels = []
+    for k in range(2 ** depth):
+        labels += [f] * ((k & -k).bit_length() - 1 if k else depth)
+        labels.append(leaf_symbols[k % len(leaf_symbols)])
     t = Tree()
-    n_leaves = 2 ** depth
-    nodes = [t.new_node(leaf_symbols[k % len(leaf_symbols)])
-             for k in range(n_leaves)]
-    while len(nodes) > 1:
-        merged = []
-        for j in range(0, len(nodes), 2):
-            v = t.new_node(f)
-            t.set_children(v, [nodes[j], nodes[j + 1]])
-            merged.append(v)
-        nodes = merged
-    order = [f]
-    seen = {f}
-    for sym in leaf_symbols:
-        if sym not in seen:
-            order.append(sym)
-            seen.add(sym)
-    return BinaryTree(t, nodes[0], order)
+    root, = t.add_preorder(labels)
+    return BinaryTree(t, root, list(dict.fromkeys(labels)))  # first-use order
 
 
 def gen_perfect_binary(depth) -> BinaryTree:
@@ -72,12 +62,8 @@ def gen_U(n) -> BinaryTree:
         raise ValueError("n must be at least 3")
     f = TerminalSymbol("f", _CC.TWO_CHILDREN)
     letters = [TerminalSymbol(c, _CC.NO_CHILDREN) for c in "abcde"]
-    t = Tree()
     count = 2 ** n
-    prev = t.new_node(letters[count % 5])
-    for i in range(count - 1, -1, -1):
-        leaf = t.new_node(letters[i % 5])
-        v = t.new_node(f)
-        t.set_children(v, [leaf, prev])
-        prev = v
-    return BinaryTree(t, prev, [f] + letters)
+    labels = [sym for i in range(count) for sym in (f, letters[i % 5])]
+    t = Tree()
+    root, = t.add_preorder(labels + [letters[count % 5]])
+    return BinaryTree(t, root, [f] + letters)

@@ -2,8 +2,9 @@
 
 Compression: XML bytes -> binary tree -> (optionally) minimal DAG grammar
 -> digram replacement -> pruning -> succinct bit stream.  Decompression
-decodes the grammar; ``decompress_bytes`` then writes the XML straight from
-the grammar, and ``decompress_tree`` unfolds it back to the tree.
+decodes the grammar and derives its value's terminals in preorder in one
+walk; ``decompress_bytes`` writes the XML tags from them without a tree,
+and ``decompress_tree`` builds the tree from them.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def gather_stats(data, max_rank=4, optimize="filesize", use_dag=True) -> dict:
     out = encode(g)
     stats["grammar edges"] = g.grammar_size()
     stats["grammar nonterminals"] = g.nonterminal_count
-    stats["edge factor %"] = 100.0 * g.grammar_size() / stats["binary tree edges"]
+    stats["edge factor %"] = 100.0 * stats["grammar edges"] / stats["binary tree edges"]
     stats["output bytes"] = len(out)
     stats["file size factor %"] = 100.0 * len(out) / len(data)
     stats["wall ms"] = 1000.0 * (time.perf_counter() - started)

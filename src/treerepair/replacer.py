@@ -27,19 +27,8 @@ from .slcf_grammar import Nonterminal, PARAMETER, SlcfGrammar
 def pattern_tree(g: SlcfGrammar, parent, index, child):
     """Build pat(parent, index, child): the parent symbol over the child
     symbol at the index, parameters everywhere else."""
-    ar = g.arena
-    root = g.new_node(parent)
-    kids = []
-    for pos in range(1, parent.rank + 1):
-        if pos == index:
-            inner = g.new_node(child)
-            ar.set_children(
-                inner, [g.new_node(PARAMETER) for _ in range(child.rank)])
-            kids.append(inner)
-        else:
-            kids.append(g.new_node(PARAMETER))
-    ar.set_children(root, kids)
-    return root
+    return g.new_tree([parent, *[PARAMETER] * (index - 1),
+                       child, *[PARAMETER] * (child.rank + parent.rank - index)])[0]
 
 
 def _split_shared(g: SlcfGrammar, X):

@@ -10,7 +10,10 @@ symbol ``y`` suffices for all parameter occurrences.
 All right-hand sides live in one shared node arena.  Sharing and
 elimination rewrite a reference node in place: the node a subtree hangs
 from keeps its identity, and with it the parent edge that the digram index
-names by it; only labels and child lists change.
+names by it; only labels and child lists change.  A rhs is read and made
+as its preorder label list (``Tree.preorder``, ``new_tree``); one walk,
+``_derive``, lists the value's terminals in preorder for the tree builder
+and the tag writer alike.
 """
 
 from __future__ import annotations
@@ -128,6 +131,18 @@ class SlcfGrammar:
             self.refs[label.id][v] = None
         return v
 
+    def new_tree(self, labels):
+        """Build the trees whose preorders are ``labels`` with
+        ``Tree.add_preorder`` and register their references in creation
+        order; returns the roots."""
+        first = len(self.arena.labels)
+        roots = self.arena.add_preorder(labels)
+        refs = self.refs
+        for v, label in enumerate(labels, first):
+            if label.__class__ is Nonterminal:
+                refs[label.id][v] = None
+        return roots
+
     def relabel(self, v, label):
         old = self.arena.labels[v]
         if isinstance(old, Nonterminal):
@@ -175,13 +190,9 @@ class SlcfGrammar:
 
     def rhs_nonterminals(self, nt_id):
         """Nonterminal ids occurring in a production's rhs (deduplicated)."""
-        seen = {}
-        t = self.arena
-        for v in t.iter_postorder(self.productions[nt_id].root):
-            label = t.labels[v]
-            if isinstance(label, Nonterminal):
-                seen[label.id] = None
-        return list(seen)
+        labels = self.arena.preorder(self.productions[nt_id].root)
+        return list({label.id: None for label in labels
+                     if isinstance(label, Nonterminal)})
 
     def hierarchical_order(self):
         """Production ids ordered referenced-before-referencing, start last.
@@ -236,9 +247,10 @@ class SlcfGrammar:
         """Remove a non-start production, substituting its rhs at each use.
 
         Each reference node takes the rhs root's label; the last one gets
-        the root's children (a splice), any earlier ones copies of them.
-        With a single reference this moves nodes without copying, so
-        reference counts of all other nonterminals are unchanged.
+        the root's children (a splice), any earlier ones copies of them,
+        built from the rhs's preorder.  With a single reference this moves
+        nodes without copying, so reference counts of all other
+        nonterminals are unchanged.
         """
         if nt.id == self.start_id:
             raise GrammarError("cannot eliminate the start production")
@@ -248,6 +260,8 @@ class SlcfGrammar:
         del self.root_to_prod[root]
         label = t.labels[root]
         ref_nodes = list(self.refs.pop(nt.id))
+        if len(ref_nodes) > 1:
+            below_root = t.preorder(root)[1:]
         for k, r in enumerate(ref_nodes):
             args = t.children[r]
             # r's refs entry went with the pop
@@ -258,13 +272,7 @@ class SlcfGrammar:
                 kids = t.children[root]
                 t.children[root] = []  # kill clears the list in place
             else:
-                first = len(t)
-                kids = [t.copy_subtree(c) for c in t.children[root]]
-                # Register the copy's references in creation order.
-                for v in range(first, len(t)):
-                    copied = t.labels[v]
-                    if isinstance(copied, Nonterminal):
-                        self.refs[copied.id][v] = None
+                kids = self.new_tree(below_root)
             t.set_children(r, kids)
             if nt.rank:
                 self._substitute_parameters(r, args)
@@ -289,38 +297,28 @@ class SlcfGrammar:
         The bound is the SLP length computation: bottom-up, a production's
         value counts its rhs terminals plus the values of the productions it
         references (parameters count 0), saturated at ``node_cap + 1``.  One
-        walk per rhs counts its terminals and its references to each
-        production and numbers its parameter leaves in preorder.
+        preorder per rhs counts its terminals and its references to each
+        production.
 
-        Returns the map from parameter leaf to that index, and the entry
-        table: production id -> the rhs node a derivation enters at a
-        reference to it.  That is the rhs root, except for an alias body
-        ``A(y..) -> B(y..)``, one reference whose children are all
-        parameters: it hands its arguments on unchanged, so A's entry is
-        B's.  Filled in the dependency order, the table collapses a chain
-        of aliases once, not once per use.
+        Returns the entry table: production id -> the rhs node a derivation
+        enters at a reference to it.  That is the rhs root, except for an
+        alias body ``A(y..) -> B(y..)``, one reference whose children are
+        all parameters: it hands its arguments on unchanged, so A's entry
+        is B's.  Filled in the dependency order, the table collapses a
+        chain of aliases once, not once per use.
         """
-        labels, children = self.arena.labels, self.arena.children
+        labels, preorder = self.arena.labels, self.arena.preorder
         terminals = {}
         refs = {}
-        param_index = {}
         alias = {}
         for i, prod in self.productions.items():
-            count = n = 0
+            count = 0
             used = refs[i] = {}
-            stack = [prod.root]
-            while stack:
-                v = stack.pop()
-                label = labels[v]
-                if label is PARAMETER:
-                    param_index[v] = n
-                    n += 1
-                    continue
+            for label in preorder(prod.root):
                 if isinstance(label, Nonterminal):
                     used[label.id] = used.get(label.id, 0) + 1
-                else:
+                elif label is not PARAMETER:
                     count += 1
-                stack.extend(reversed(children[v]))
             terminals[i] = count
             if not count and tuple(used.values()) == (1,):
                 # the root is the one reference, all else parameter leaves
@@ -334,7 +332,7 @@ class SlcfGrammar:
                 entry[i] = entry[alias[i]]
         if size[self.start_id] > node_cap:
             raise GrammarError("unfolded value exceeds %d nodes" % node_cap)
-        return param_index, entry
+        return entry
 
     def unfold_value(self, node_cap=DEFAULT_NODE_CAP) -> BinaryTree:
         """Derive the grammar's value as a fresh tree.
@@ -342,29 +340,9 @@ class SlcfGrammar:
         ``node_cap`` bounds the output size; a value larger than that
         raises GrammarError before any output node exists.
         """
-        t = self.arena
-        param_index, entry = self._check_value_size(node_cap)
+        entry = self._check_value_size(node_cap)
         out = Tree()
-        start_root = self.start().root
-        root = out.new_node(None)
-        # Work items: source node, parameter environment, destination node.
-        # The environment maps this rhs's parameter leaves to pending
-        # (source node, environment) pairs from the referencing side.
-        stack = [(start_root, None, root)]
-        while stack:
-            src, env, dst = stack.pop()
-            label = t.labels[src]
-            while label is PARAMETER:
-                src, env = env[param_index[src]]
-                label = t.labels[src]
-            if isinstance(label, Nonterminal):
-                inner_env = tuple((c, env) for c in t.children[src])
-                stack.append((entry[label.id], inner_env, dst))
-                continue
-            out.labels[dst] = label
-            kids = [out.new_node(None) for _ in t.children[src]]
-            out.set_children(dst, kids)
-            stack.extend(zip(t.children[src], (env,) * len(kids), kids))
+        root, = out.add_preorder(_derive(self.arena, self.start().root, entry))
         return BinaryTree(out, root, self.terminal_order)
 
     def write_xml(self, node_cap=DEFAULT_NODE_CAP) -> bytes:
@@ -376,23 +354,71 @@ class SlcfGrammar:
         written.  A value whose root is not an XML-origin root raises
         UnsupportedInputError.
         """
-        param_index, entry = self._check_value_size(node_cap)
-        return _write_tags(self.arena, self.start().root, entry, param_index)
+        entry = self._check_value_size(node_cap)
+        return _write_tags(_derive(self.arena, self.start().root, entry))
+
+
+def _derive(arena, root, entry) -> list:
+    """Terminals of the value derived from ``root``, in preorder.
+
+    The one walk that follows references and parameters, traversing an
+    SLCF grammar's value without decompressing it (Busatto, Lohrey &
+    Maneth, *Efficient memory representation of XML document trees*,
+    Information Systems 2008).  Work items pair an rhs node with an
+    environment: a reference enters its production at ``entry`` (from
+    ``_check_value_size``) with its arguments, reversed.  A linear rhs
+    meets its parameter leaves in preorder, the order of its arguments,
+    so each leaf takes the argument it stands for with ``env.pop()``.
+    """
+    labels, children = arena.labels, arena.children
+    out = []
+    stack = [(root, None)]
+    while stack:
+        v, env = stack.pop()
+        while True:
+            label = labels[v]
+            while label.__class__ is not TerminalSymbol:
+                if label is PARAMETER:
+                    v, env = env.pop()
+                else:
+                    if label.rank:  # a rank-0 rhs has no parameters to take
+                        env = [(c, env) for c in reversed(children[v])]
+                    v = entry[label.id]
+                label = labels[v]
+            out.append(label)
+            rank = label.rank
+            if not rank:
+                break
+            kids = children[v]
+            if rank == 2:
+                stack.append((kids[1], env))
+            elif rank > 2:
+                stack += [(c, env) for c in reversed(kids[1:])]
+            v = kids[0]
+    return out
 
 
 class _Tags(dict):
-    """Terminal -> (characteristic bits, tag, close tag), built once per
-    terminal: ``<name>`` and ``</name>`` for a terminal with a first child,
-    ``<name/>`` and None for one without."""
+    """Terminal -> (tag, pending), built once per terminal: ``<name>``
+    and what the tag writer pushes after it, top last (a slot for a next
+    sibling, then the close tag), for a terminal with a first child;
+    ``<name/>`` and the slot or nothing for one with a next sibling only;
+    ``<name/>`` and None for a leaf.  A terminal without a children
+    characteristic raises UnsupportedInputError."""
 
     def __missing__(self, sym):
+        char = sym.characteristic
+        if char is None:
+            raise UnsupportedInputError(
+                "terminal %r has no children characteristic" % (sym,))
         name = sym.name
-        bits = int(sym.characteristic)
-        if bits & 0b10:
-            tags = (bits, "<%s>" % name, "</%s>" % name)
+        if char & 0b10:
+            tag, pending = "<%s>" % name, ("</%s>" % name,)
+            if char & 0b01:
+                pending = (None, *pending)
         else:
-            tags = (bits, "<%s/>" % name, None)
-        self[sym] = tags
+            tag, pending = "<%s/>" % name, () if char & 0b01 else None
+        self[sym] = tags = (tag, pending)
         return tags
 
 
@@ -422,59 +448,35 @@ def _dependency_order(refs) -> list:
     return order
 
 
-def _write_tags(arena, root, entry, param_index) -> bytes:
-    """XML of the value derived from ``root``, in one walk over the rhs nodes.
+def _write_tags(terminals) -> bytes:
+    """XML of the binary tree whose preorder terminals are ``terminals``.
 
-    This is traversal of an SLCF grammar's value without decompressing it
-    (Busatto, Lohrey & Maneth, *Efficient memory representation of XML
-    document trees*, Information Systems 2008).  The first-child/next-sibling
-    preorder is document order: a node with a first child writes its open
-    tag, its first child's chain follows, then its close tag, then its next
-    sibling; a node without one writes an empty tag and goes on to its next
-    sibling.  Work items are ``unfold_value``'s (rhs node, parameter
-    environment) pairs; close tags wait on the same stack as shared strings.
-    ``entry`` and ``param_index`` (both from ``_check_value_size``) are only
-    read at references and parameters, which a plain tree has none of.
+    The first-child/next-sibling preorder is document order: a node with
+    a first child writes its open tag, its first child's chain follows,
+    then its close tag, then its next sibling.  A stack holds the close
+    tags still to write, each above a slot (None) where its node has a
+    next sibling to come; a leaf ends a chain, so the close tags above the
+    top slot follow it.  A root that is not an XML-origin root raises
+    UnsupportedInputError.
     """
-    labels, children = arena.labels, arena.children
     tags = _Tags()
+    root = terminals[0]
+    tags[root]  # a terminal without a characteristic raises here
+    if root.characteristic != ChildrenCharacteristic.NO_RIGHT_CHILD:
+        raise UnsupportedInputError(
+            "derived root has characteristic %s, not an XML-origin tree"
+            % root.characteristic.bits)
     out = []
-    emit = out.append
-    stack = [(root, None)]
-    push, pop = stack.append, stack.pop
-    at_root = True
-    while stack:
-        item = pop()
-        if item.__class__ is str:
-            emit(item)
-            continue
-        v, env = item
-        while True:
-            label = labels[v]
-            while label.__class__ is not TerminalSymbol:
-                if label is PARAMETER:
-                    v, env = env[param_index[v]]
-                else:
-                    kids = children[v]
-                    if kids:  # a rank-0 rhs has no parameters to look up
-                        env = [(c, env) for c in kids]
-                    v = entry[label.id]
-                label = labels[v]
-            bits, tag, close_tag = tags[label]
-            if at_root:
-                if bits != ChildrenCharacteristic.NO_RIGHT_CHILD:
-                    raise UnsupportedInputError(
-                        "derived root has characteristic %s, not an "
-                        "XML-origin tree" % label.characteristic.bits)
-                at_root = False
-            emit(tag)
-            if bits & 0b10:
-                if bits & 0b01:
-                    push((children[v][1], env))
-                push(close_tag)
-            elif not bits:
-                break
-            v = children[v][0]
+    stack = [None]  # under the root's close tag: the last leaf stops here
+    for tag, pending in map(tags.__getitem__, terminals):
+        out.append(tag)
+        if pending:
+            stack += pending
+        elif pending is None:
+            item = stack.pop()
+            while item is not None:
+                out.append(item)
+                item = stack.pop()
     # str.join, not bytes.join: the latter holds a buffer view per item.
     return "".join(out).encode("utf-8")
 
@@ -482,9 +484,10 @@ def _write_tags(arena, root, entry, param_index) -> bytes:
 def serialize_xml(bt: BinaryTree) -> bytes:
     """Invert the first-child/next-sibling encoding back to XML bytes.
 
-    A tree is a grammar without references, so this is the grammar
-    writer's walk over the tree itself.  Only valid for trees whose
+    A tree's value is its preorder, so this is the grammar writer's tag
+    walk over the tree's labels.  Only valid for trees whose
     characteristics are consistent with an XML origin: a root without
-    characteristic 10 raises UnsupportedInputError.
+    characteristic 10, or a terminal without a characteristic, raises
+    UnsupportedInputError.
     """
-    return _write_tags(bt.tree, bt.root, None, None)
+    return _write_tags(bt.tree.preorder(bt.root))

@@ -373,15 +373,10 @@ def assign_ids(grammar: SlcfGrammar) -> SymbolIdTable:
 
 def _preorder_ids(grammar: SlcfGrammar, roots, table: SymbolIdTable) -> list:
     """Symbol ids of the rhs trees at ``roots``, each in preorder."""
-    t = grammar.arena
-    labels, children, id_of = t.labels, t.children, table.id_of
+    preorder, id_of = grammar.arena.preorder, table.id_of.__getitem__
     out = []
     for root in roots:
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            out.append(id_of[labels[v]])
-            stack.extend(reversed(children[v]))
+        out += map(id_of, preorder(root))
     return out
 
 

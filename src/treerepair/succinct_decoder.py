@@ -6,8 +6,9 @@ reported as :class:`DecodeError`; no input may crash or hang the decoder.
 Each characteristic block, the names section and each production body is
 one ``CanonicalDecoder.read_block`` whose balance ends the block: ids count
 -1 against the block's count, ETX bytes -1 against the terminal count, body
-ids rank - 1 against 1.  Faults get the messages and the order a read per
-value would give them.
+ids rank - 1 against 1.  A body's ids are its preorder, from which
+``SlcfGrammar.new_tree`` makes its nodes in one pass.  Faults get the
+messages and the order a read per value would give them.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ def _parse_body(reader, decoder, grammar, symbols, deltas, parameter_id):
 
     ``symbols`` and ``deltas`` give each id's symbol and rank - 1 (None for
     id 0).  The body is complete exactly when every node has its children,
-    when the balance, 1 plus the deltas, reaches 0.  The nodes are made in
-    preorder, then a reverse pass over a node stack gives each its children.
+    when the balance, 1 plus the deltas, reaches 0; its symbols are then
+    the preorder that ``SlcfGrammar.new_tree`` builds the nodes from.
 
     Returns (root node, parameter count).  A body that is a bare
     parameter (``A(y) -> y``) is rejected: the encoder never writes one,
@@ -88,17 +89,8 @@ def _parse_body(reader, decoder, grammar, symbols, deltas, parameter_id):
         raise DecodeError("symbol id %d out of range" % bad)
     if ids[0] == parameter_id:
         raise DecodeError("production body is a bare parameter")
-    new_node, set_children = grammar.new_node, grammar.arena.set_children
-    nodes = [new_node(symbols[sid]) for sid in ids]
-    stack = []
-    for v, sid in zip(reversed(nodes), reversed(ids)):
-        rank = deltas[sid] + 1
-        if rank:
-            # v's first child was pushed last, so it is on top
-            set_children(v, stack[:-rank - 1:-1])
-            del stack[-rank:]
-        stack.append(v)
-    return nodes[0], ids.count(parameter_id)
+    root, = grammar.new_tree(list(map(symbols.__getitem__, ids)))
+    return root, ids.count(parameter_id)
 
 
 def decode(data: bytes) -> SlcfGrammar:

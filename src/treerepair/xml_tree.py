@@ -176,33 +176,62 @@ class Tree:
         # ``order`` lists each node before its children, right to left.
         return reversed(order)
 
-    # -- measures and copies -----------------------------------------------
-
-    def node_count(self, root):
-        children = self.children
-        n = 0
+    def preorder(self, root):
+        """Labels of the subtree hanging from ``root`` in preorder: the
+        form in which a subtree is read, written and rebuilt."""
+        labels, children = self.labels, self.children
+        out = []
         stack = [root]
         while stack:
-            n += 1
-            stack.extend(children[stack.pop()])
-        return n
+            v = stack.pop()
+            while True:  # down the first-child line, later children wait
+                out.append(labels[v])
+                kids = children[v]
+                if not kids:
+                    break
+                if len(kids) > 1:
+                    stack += kids[:0:-1]
+                v = kids[0]
+        return out
+
+    def add_preorder(self, labels):
+        """Append the trees whose preorders, one after another, are
+        ``labels`` (a rhs's children are copied in one call); returns
+        their roots.  The nodes take consecutive ids in preorder, and one
+        reverse pass over a stack of finished subtrees links each node to
+        as many children as its label's rank."""
+        n = len(labels)
+        v = len(self.labels) + n
+        self.labels += labels
+        parents, pindex = self.parents, self.pindex
+        parents += [-1] * n
+        pindex += [0] * n
+        lists = []
+        stack = []
+        for label in reversed(labels):
+            v -= 1
+            rank = label.rank
+            kids = stack[:-rank - 1:-1]  # v's first child was pushed last
+            if rank:
+                del stack[-rank:]
+                i = 0
+                for c in kids:
+                    i += 1
+                    parents[c] = v
+                    pindex[c] = i
+            lists.append(kids)
+            stack.append(v)
+        lists.reverse()
+        self.children += lists
+        return stack[::-1]
+
+    # -- measures ----------------------------------------------------------
+
+    def node_count(self, root):
+        return len(self.preorder(root))
 
     def edge_count(self, root):
         return self.node_count(root) - 1
-
-    def copy_subtree(self, root):
-        """Copy the subtree at ``root`` to fresh nodes; returns the new root."""
-        new_root = self.new_node(self.labels[root])
-        stack = [(root, new_root)]
-        while stack:
-            src, dup = stack.pop()
-            kids = []
-            for c in self.children[src]:
-                d = self.new_node(self.labels[c])
-                kids.append(d)
-                stack.append((c, d))
-            self.set_children(dup, kids)
-        return new_root
 
 
 class BinaryTree:

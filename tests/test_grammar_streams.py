@@ -19,11 +19,13 @@ from treerepair import (
     Tree,
     decode,
     decompress_bytes,
+    decompress_tree,
     encode,
     serialize_xml,
 )
 
-from oracles import canonical_text, decompress_bytes_by_unfolding, value_by_substitution
+from oracles import (canonical_text, decompress_bytes_by_unfolding, same_structure,
+                     value_by_substitution)
 
 ROOT = TerminalSymbol("r", CC.NO_RIGHT_CHILD)
 LEAF = TerminalSymbol("l", CC.NO_CHILDREN)
@@ -120,5 +122,12 @@ class TestDirectGrammars:
         blob = encode(g)
         written = outcome(decompress_bytes, blob)
         assert written == outcome(decompress_bytes_by_unfolding, blob)
+        try:
+            tree = decompress_tree(blob, CAP)
+        except DecodeError:
+            return  # the value has more than CAP nodes
+        # both consumers of the derivation walk meet the recursive oracle
+        want = value_by_substitution(g)
+        assert same_structure(tree, want)
         if isinstance(written, bytes):
-            assert written == serialize_xml(value_by_substitution(g))
+            assert written == serialize_xml(want)

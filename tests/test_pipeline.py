@@ -21,6 +21,7 @@ from treerepair import (
     build_grammar,
     compress_tree,
     compress_xml_bytes,
+    decode,
     decompress_bytes,
     decompress_tree,
     encode,
@@ -318,8 +319,9 @@ def profiled_calls(run):
 
 
 class TestPrimitiveCalls:
-    """Call counts, not wall time: symbols hash and compare in C, and
-    parsing labels a node without calling the characteristic enum."""
+    """Call counts, not wall time: symbols hash and compare in C, parsing
+    labels a node without calling the characteristic enum, and decoding
+    and unfolding build nodes from preorders, not one call per node."""
 
     def test_symbols_have_no_python_level_hash_or_equality(self):
         def run():
@@ -339,3 +341,17 @@ class TestPrimitiveCalls:
         # the check sees an enum call
         calls = profiled_calls(lambda: ChildrenCharacteristic(0b10))
         assert calls[enum.__file__, "__call__"] == 1
+
+    def test_decoding_and_unfolding_make_no_call_per_node(self):
+        def node_calls(run):
+            return {(os.path.basename(path), name): n
+                    for (path, name), n in profiled_calls(run).items()
+                    if path.startswith(package)
+                    and name in ("new_node", "set_children")}
+
+        package = os.path.dirname(treerepair.__file__)
+        blob = alias_chain_stream(4000, 4000)  # 4 002 bodies, 12 002 nodes
+        assert node_calls(lambda: (decode(blob), decompress_tree(blob))) == {}
+        # the check sees such calls
+        assert node_calls(lambda: SlcfGrammar(Tree(), []).new_node(PARAMETER)) == {
+            ("slcf_grammar.py", "new_node"): 1, ("xml_tree.py", "new_node"): 1}

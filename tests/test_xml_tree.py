@@ -8,9 +8,9 @@ import pytest
 from treerepair import ChildrenCharacteristic, ParseError, UnsupportedInputError, parse_xml, serialize_xml
 from treerepair.xml_tree import BinaryTree, TerminalSymbol, Tree
 
-from conftest import BOOKS, random_xml
+from conftest import BOOKS, random_xml, ranked_bt
 from oracles import (binary_shape, element_shape, fcns_shape, postorder_nodes,
-                     same_structure)
+                     same_structure, validate_tree)
 
 CC = ChildrenCharacteristic
 
@@ -136,6 +136,16 @@ class TestSerialize:
         with pytest.raises(UnsupportedInputError):
             serialize_xml(bt)
 
+    def test_rejects_symbols_without_characteristic(self):
+        rank_only = ranked_bt(("f/1", [("f/1", ["a/0"])]))
+        with pytest.raises(UnsupportedInputError, match="no children characteristic"):
+            serialize_xml(rank_only)
+        # below an XML-origin root too
+        bt = parse_xml(b"<a><b/></a>")
+        bt.tree.labels[bt.tree.children[bt.root][0]] = TerminalSymbol("b", rank=0)
+        with pytest.raises(UnsupportedInputError, match="no children characteristic"):
+            serialize_xml(bt)
+
 
 class TestArena:
     def _sample(self):
@@ -165,13 +175,36 @@ class TestArena:
         bt = parse_xml(BOOKS)
         assert list(bt.tree.iter_postorder(bt.root)) == postorder_nodes(bt.tree, bt.root)
 
-    def test_copy_subtree_is_equal_but_disjoint(self):
-        t, root = self._sample()
-        n = len(t)
-        new_root = t.copy_subtree(root)
-        assert t.node_count(new_root) == 7
-        assert all(v >= n for v in t.iter_postorder(new_root))
-        assert same_structure(BinaryTree(t, new_root, []), BinaryTree(t, root, []))
+    def test_preorder_rebuilds_an_equal_disjoint_tree(self):
+        sample, sample_root = self._sample()
+        rank3 = ranked_bt(("h/3", ["a/0", ("h/3", ["b/0", ("g/1", ["a/0"]), "b/0"]),
+                                   ("g/1", [("h/3", ["a/0", "a/0", "b/0"])])]))
+        sources = [BinaryTree(sample, sample_root, []), parse_xml(BOOKS), rank3]
+        for source in sources:
+            t, root = self._sample()
+            n = len(t)
+            labels = source.tree.preorder(source.root)
+            new_root, = t.add_preorder(labels)
+            copy = BinaryTree(t, new_root, [])
+            assert all(v >= n for v in t.iter_postorder(new_root))
+            assert len(t) == n + len(labels) == n + source.node_count
+            assert t.parents[new_root] == -1
+            assert t.preorder(new_root) == labels
+            assert same_structure(copy, source)
+            validate_tree(copy)
+            # the nodes already there are untouched
+            validate_tree(BinaryTree(t, root, []))
+            assert same_structure(BinaryTree(t, root, []),
+                                  BinaryTree(sample, sample_root, []))
+        # a forest in one call: the roots come back in order
+        t, _ = self._sample()
+        roots = t.add_preorder([label for source in sources
+                                for label in source.tree.preorder(source.root)])
+        assert len(roots) == len(sources)
+        for root, source in zip(roots, sources):
+            assert t.parents[root] == -1
+            assert same_structure(BinaryTree(t, root, []), source)
+            validate_tree(BinaryTree(t, root, []))
 
     def test_same_structure_detects_differences(self):
         t, root = self._sample()
