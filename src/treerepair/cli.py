@@ -73,8 +73,6 @@ def _tree_to_nested_xml(bt) -> bytes:
 
 
 def _run(args) -> int:
-    if getattr(args, "max_rank", 0) < 0:
-        raise ValueError("-max_rank must not be negative")
     if args.command == "compress":
         with open(args.input, "rb") as fh:
             data = fh.read()

@@ -275,8 +275,8 @@ def build_index(grammar: SlcfGrammar, n_edges=None, max_rank=None) -> DigramInde
     ar = g.arena
     labels, parents, pindex, children = ar.labels, ar.parents, ar.pindex, ar.children
     slot = idx._slot
-    for prod in list(g.productions.values()):
-        root = prod.root
+    for nt in list(g.productions.values()):
+        root = nt.root
         for v in ar.iter_postorder(root):
             if v == root:
                 continue

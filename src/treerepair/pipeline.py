@@ -32,6 +32,8 @@ def build_grammar(bt: BinaryTree, max_rank=4, optimize="filesize",
     """Run the grammar construction on a tree (consumes its arena)."""
     if optimize not in OPTIMIZE_THRESHOLDS:
         raise ValueError("optimize must be one of %s" % sorted(OPTIMIZE_THRESHOLDS))
+    if max_rank is not None and max_rank < 0:
+        raise ValueError("max_rank must not be negative")
     n_edges = bt.edge_count
     if use_dag:
         g = build_dag_grammar(bt)

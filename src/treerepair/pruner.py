@@ -31,9 +31,7 @@ def prune(g: SlcfGrammar, threshold):
     # and thereby its sav).
     order = [i for i in g.hierarchical_order() if i != g.start_id]
     for nt_id in reversed(order):
-        if nt_id not in g.productions:
-            continue
-        nt = g.productions[nt_id].nt
-        if g.sav(nt) <= threshold:
+        nt = g.productions.get(nt_id)
+        if nt is not None and g.sav(nt) <= threshold:
             g.eliminate(nt)
     return g

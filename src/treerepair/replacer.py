@@ -41,7 +41,7 @@ def _split_shared(g: SlcfGrammar, X):
     Idempotent: a second call finds only DAG references.
     """
     ar = g.arena
-    for c in ar.children[g.productions[X.id].root]:
+    for c in ar.children[X.root]:
         lc = ar.labels[c]
         if not (isinstance(lc, Nonterminal) and lc.is_dag):
             g.share(c)
@@ -65,15 +65,14 @@ def replace_occurrence(g: SlcfGrammar, idx: DigramIndex, v, j, A):
     lw = ar.labels[w]
     inner = children[w]
     if isinstance(lw, Nonterminal) and lw.is_dag:
-        if len(g.refs[lw.id]) > 1:
+        if len(lw.refs) > 1:
             _split_shared(g, lw)
-            root = g.productions[lw.id].root
-            inner = [g.new_node(ar.labels[c]) for c in children[root]]
+            inner = [g.new_node(ar.labels[c]) for c in children[lw.root]]
         else:
             # Splice first: w takes the rhs root's children, whose edges go.
             g.eliminate(lw)
             inner = children[w]
-    into = (v,) if ar.parents[v] != -1 else g.refs[g.root_to_prod[v]]
+    into = (v,) if ar.parents[v] != -1 else g.root_to_prod[v].refs
     idx.unlink(into)
     idx.unlink(kids)
     idx.unlink(children[w])

@@ -1,11 +1,13 @@
 """Straight-line context-free tree grammars with parameters.
 
-A grammar maps nonterminals to productions A(y_1..y_k) -> t where t is a
-ranked tree over terminals, previously defined nonterminals and parameter
-leaves.  It is linear (each parameter occurs exactly once in t) and
-acyclic, so it derives exactly one tree, its value.  The i-th parameter
-corresponds to the i-th parameter leaf of t in preorder, so the single
-symbol ``y`` suffices for all parameter occurrences.
+Every nonterminal has exactly one production A(y_1..y_k) -> t, where t is
+a ranked tree over terminals, previously defined nonterminals and parameter
+leaves, so one ``Nonterminal`` object is both: it holds its rhs root and
+the nodes that reference it.  The grammar is linear (each parameter occurs
+exactly once in t) and acyclic, so it derives exactly one tree, its value.
+The i-th parameter corresponds to the i-th parameter leaf of t in
+preorder, so the single symbol ``y`` suffices for all parameter
+occurrences.
 
 All right-hand sides live in one shared node arena.  Sharing and
 elimination rewrite a reference node in place: the node a subtree hangs
@@ -43,21 +45,27 @@ DEFAULT_NODE_CAP = 2 ** 24
 
 
 class Nonterminal:
-    """Grammar nonterminal.  Identity object; compared by ``is``.
+    """Grammar nonterminal, which is also its one production A(y..) -> t.
+    Identity object; compared by ``is``.
 
-    ``is_dag`` marks nonterminals of the DAG namespace (rank 0, created by
-    subtree sharing or by splitting a shared production during
-    replacement).  Digram keys see through such a reference to the root
-    label of its right-hand side; all other nonterminals are opaque
-    symbols.
+    ``root`` is the rhs root node, set by ``SlcfGrammar.add_production``.
+    ``refs`` is the ordered set of nodes labeled by the nonterminal;
+    reference order is insertion order, which all downstream processing
+    relies on for determinism.  ``is_dag`` marks nonterminals of the DAG
+    namespace (rank 0, created by subtree sharing or by splitting a shared
+    production during replacement).  Digram keys see through such a
+    reference to the root label of its right-hand side; all other
+    nonterminals are opaque symbols.
     """
 
-    __slots__ = ("id", "rank", "is_dag")
+    __slots__ = ("id", "rank", "is_dag", "root", "refs")
 
     def __init__(self, nid, rank, is_dag):
         self.id = nid
         self.rank = rank
         self.is_dag = is_dag
+        self.root = None
+        self.refs = {}
 
     def __repr__(self):
         return "A_%d" % self.id
@@ -67,29 +75,19 @@ class GrammarError(ValueError):
     pass
 
 
-class Production:
-    __slots__ = ("nt", "root")
-
-    def __init__(self, nt, root):
-        self.nt = nt
-        self.root = root
-
-
 class SlcfGrammar:
     """Grammar over a shared arena.
 
-    ``productions`` preserves creation order (nonterminal ids ascend in
-    it).  ``refs`` maps a nonterminal id to the ordered set of nodes
-    labeled by it; reference order is insertion order, which all
-    downstream processing relies on for determinism.
+    ``productions`` maps a nonterminal id to its nonterminal, in creation
+    order (ids ascend in it); ``root_to_prod`` maps a rhs root node to the
+    nonterminal it belongs to.
     """
 
     def __init__(self, arena: Tree, terminal_order):
         self.arena = arena
         self.terminal_order = list(terminal_order)
-        self.productions = {}     # nt id -> Production
-        self.refs = {}            # nt id -> dict[node id, None]
-        self.root_to_prod = {}    # rhs root node id -> nt id
+        self.productions = {}     # nt id -> Nonterminal
+        self.root_to_prod = {}    # rhs root node id -> Nonterminal
         self.start_id = None
         self._next_id = 0
 
@@ -106,17 +104,17 @@ class SlcfGrammar:
     def new_nonterminal(self, rank, is_dag):
         nt = Nonterminal(self._next_id, rank, is_dag)
         self._next_id += 1
-        self.refs[nt.id] = {}
         return nt
 
     def add_production(self, nt, root, start=False):
-        self.productions[nt.id] = Production(nt, root)
-        self.root_to_prod[root] = nt.id
+        nt.root = root
+        self.productions[nt.id] = nt
+        self.root_to_prod[root] = nt
         self.arena.parents[root] = -1
         if start:
             self.start_id = nt.id
 
-    def start(self) -> Production:
+    def start(self) -> Nonterminal:
         return self.productions[self.start_id]
 
     @property
@@ -128,7 +126,7 @@ class SlcfGrammar:
     def new_node(self, label):
         v = self.arena.new_node(label)
         if isinstance(label, Nonterminal):
-            self.refs[label.id][v] = None
+            label.refs[v] = None
         return v
 
     def new_tree(self, labels):
@@ -137,33 +135,30 @@ class SlcfGrammar:
         order; returns the roots."""
         first = len(self.arena.labels)
         roots = self.arena.add_preorder(labels)
-        refs = self.refs
         for v, label in enumerate(labels, first):
             if label.__class__ is Nonterminal:
-                refs[label.id][v] = None
+                label.refs[v] = None
         return roots
 
     def relabel(self, v, label):
-        old = self.arena.labels[v]
+        labels = self.arena.labels
+        old = labels[v]
         if isinstance(old, Nonterminal):
-            del self.refs[old.id][v]
-        self.arena.labels[v] = label
+            del old.refs[v]
+        labels[v] = label
         if isinstance(label, Nonterminal):
-            self.refs[label.id][v] = None
+            label.refs[v] = None
 
     def kill_node(self, v):
         label = self.arena.labels[v]
         if isinstance(label, Nonterminal):
-            del self.refs[label.id][v]
+            del label.refs[v]
         self.arena.kill(v)
-
-    def ref_count(self, nt):
-        return len(self.refs[nt.id])
 
     def resolve_label(self, label):
         """Digram-key view of a label: DAG references show their rhs root."""
         if isinstance(label, Nonterminal) and label.is_dag:
-            return self.arena.labels[self.productions[label.id].root]
+            return self.arena.labels[label.root]
         return label
 
     # -- measures --------------------------------------------------------------
@@ -183,16 +178,27 @@ class SlcfGrammar:
         (r*rank edges to arguments survive either way) by r copies of t
         and drops the production itself.
         """
-        size = self.production_size(nt.id)
-        return self.ref_count(nt) * (size - nt.rank) - size
+        size = self.arena.edge_count(nt.root)
+        return len(nt.refs) * (size - nt.rank) - size
 
     # -- structural queries ------------------------------------------------------
 
-    def rhs_nonterminals(self, nt_id):
-        """Nonterminal ids occurring in a production's rhs (deduplicated)."""
-        labels = self.arena.preorder(self.productions[nt_id].root)
-        return list({label.id: None for label in labels
-                     if isinstance(label, Nonterminal)})
+    def census(self):
+        """``{id: (terminal count, {referenced id: uses})}`` per production,
+        counted in one preorder of its rhs (parameters count in neither);
+        referenced ids in order of first use."""
+        preorder = self.arena.preorder
+        out = {}
+        for i, nt in self.productions.items():
+            count = 0
+            used = {}
+            for label in preorder(nt.root):
+                if isinstance(label, Nonterminal):
+                    used[label.id] = used.get(label.id, 0) + 1
+                elif label is not PARAMETER:
+                    count += 1
+            out[i] = (count, used)
+        return out
 
     def hierarchical_order(self):
         """Production ids ordered referenced-before-referencing, start last.
@@ -201,7 +207,7 @@ class SlcfGrammar:
         creation id.  The start production necessarily comes last because
         every other nonterminal is reachable from it.
         """
-        return _dependency_order({i: self.rhs_nonterminals(i) for i in self.productions})
+        return _dependency_order(self.census())
 
     # -- sharing and elimination ---------------------------------------------------
 
@@ -255,19 +261,19 @@ class SlcfGrammar:
         if nt.id == self.start_id:
             raise GrammarError("cannot eliminate the start production")
         t = self.arena
-        prod = self.productions.pop(nt.id)
-        root = prod.root
+        del self.productions[nt.id]
+        root = nt.root
         del self.root_to_prod[root]
         label = t.labels[root]
-        ref_nodes = list(self.refs.pop(nt.id))
+        ref_nodes = list(nt.refs)
+        nt.refs.clear()  # the loop relabels its nodes directly
         if len(ref_nodes) > 1:
             below_root = t.preorder(root)[1:]
         for k, r in enumerate(ref_nodes):
             args = t.children[r]
-            # r's refs entry went with the pop
             t.labels[r] = label
             if isinstance(label, Nonterminal):
-                self.refs[label.id][r] = None
+                label.refs[r] = None
             if k == len(ref_nodes) - 1:
                 kids = t.children[root]
                 t.children[root] = []  # kill clears the list in place
@@ -285,9 +291,9 @@ class SlcfGrammar:
         reference count of any other nonterminal; one pass in id order
         suffices.
         """
-        for nt_id in [i for i in self.productions if i != self.start_id]:
-            if len(self.refs[nt_id]) == 1:
-                self.eliminate(self.productions[nt_id].nt)
+        for nt in [nt for i, nt in self.productions.items() if i != self.start_id]:
+            if len(nt.refs) == 1:
+                self.eliminate(nt)
 
     # -- derivation --------------------------------------------------------------
 
@@ -296,9 +302,8 @@ class SlcfGrammar:
 
         The bound is the SLP length computation: bottom-up, a production's
         value counts its rhs terminals plus the values of the productions it
-        references (parameters count 0), saturated at ``node_cap + 1``.  One
-        preorder per rhs counts its terminals and its references to each
-        production.
+        references (parameters count 0), saturated at ``node_cap + 1``; the
+        counts per rhs come from :meth:`census`.
 
         Returns the entry table: production id -> the rhs node a derivation
         enters at a reference to it.  That is the rhs root, except for an
@@ -307,29 +312,20 @@ class SlcfGrammar:
         is B's.  Filled in the dependency order, the table collapses a
         chain of aliases once, not once per use.
         """
-        labels, preorder = self.arena.labels, self.arena.preorder
-        terminals = {}
-        refs = {}
-        alias = {}
-        for i, prod in self.productions.items():
-            count = 0
-            used = refs[i] = {}
-            for label in preorder(prod.root):
-                if isinstance(label, Nonterminal):
-                    used[label.id] = used.get(label.id, 0) + 1
-                elif label is not PARAMETER:
-                    count += 1
-            terminals[i] = count
+        labels, productions = self.arena.labels, self.productions
+        census = self.census()
+        size = {}
+        entry = {}
+        for i in _dependency_order(census):
+            count, used = census[i]
+            total = count + sum([size[j] * k for j, k in used.items()])
+            size[i] = min(total, node_cap + 1)
+            root = productions[i].root
             if not count and tuple(used.values()) == (1,):
                 # the root is the one reference, all else parameter leaves
-                alias[i] = labels[prod.root].id
-        size = {}
-        entry = {i: p.root for i, p in self.productions.items()}
-        for i in _dependency_order(refs):
-            total = terminals[i] + sum([size[j] * k for j, k in refs[i].items()])
-            size[i] = min(total, node_cap + 1)
-            if i in alias:
-                entry[i] = entry[alias[i]]
+                entry[i] = entry[labels[root].id]
+            else:
+                entry[i] = root
         if size[self.start_id] > node_cap:
             raise GrammarError("unfolded value exceeds %d nodes" % node_cap)
         return entry
@@ -422,14 +418,14 @@ class _Tags(dict):
         return tags
 
 
-def _dependency_order(refs) -> list:
-    """Ids of ``refs`` (``{id: distinct referenced ids}``) ordered
-    referenced before referencing, ties toward the smaller id (Kahn's
-    algorithm over a min-heap)."""
-    dependents = {i: [] for i in refs}
+def _dependency_order(census) -> list:
+    """Ids of a :meth:`SlcfGrammar.census` ordered referenced before
+    referencing, ties toward the smaller id (Kahn's algorithm over a
+    min-heap)."""
+    dependents = {i: [] for i in census}
     missing = {}
     ready = []
-    for i, used in refs.items():
+    for i, (_, used) in census.items():
         missing[i] = len(used)
         for d in used:
             dependents[d].append(i)
@@ -443,7 +439,7 @@ def _dependency_order(refs) -> list:
             missing[j] -= 1
             if missing[j] == 0:
                 heapq.heappush(ready, j)
-    if len(order) != len(refs):
+    if len(order) != len(census):
         raise GrammarError("grammar is cyclic")
     return order
 

@@ -339,72 +339,63 @@ def run_length_encode(values, n) -> list:
     return out
 
 
-class SymbolIdTable:
-    """Symbol ids used by the value sequence.
+def assign_ids(grammar: SlcfGrammar):
+    """Symbol ids used by the value sequence, as ``(nonterminals, id_of)``.
 
-    Terminals get ids 1..|F| in registration order, the formal parameter
-    gets |F|+1, and the non-start nonterminals get |F|+2.. in hierarchical
-    order (the start production needs no id).
+    Terminals get ids 1..|F| in ``grammar.terminal_order``, the formal
+    parameter gets |F|+1, and ``nonterminals``, the non-start ones in
+    hierarchical order, get |F|+2.. (the start production needs no id).
+    ``id_of`` maps each symbol to its id.
     """
-
-    def __init__(self, terminals, nonterminals):
-        self.terminals = list(terminals)
-        self.nonterminals = list(nonterminals)
-        parameter_id = len(self.terminals) + 1
-        self.id_of = {}
-        for i, sym in enumerate(self.terminals, start=1):
-            self.id_of[sym] = i
-        self.id_of[PARAMETER] = parameter_id
-        for i, nt in enumerate(self.nonterminals, start=parameter_id + 1):
-            self.id_of[nt] = i
-
-
-def assign_ids(grammar: SlcfGrammar) -> SymbolIdTable:
-    for sym in grammar.terminal_order:
+    terminals = grammar.terminal_order
+    for sym in terminals:
         if sym.characteristic is None:
             raise EncodeError("terminal %r has no children characteristic" % sym.name)
         if ETX in sym.name.encode("utf-8"):
             raise EncodeError("terminal name contains the ETX byte")
-    order = grammar.hierarchical_order()
-    nts = [grammar.productions[nt_id].nt for nt_id in order
-           if nt_id != grammar.start_id]
-    return SymbolIdTable(grammar.terminal_order, nts)
+    nonterminals = [grammar.productions[i] for i in grammar.hierarchical_order()
+                    if i != grammar.start_id]
+    id_of = {sym: i for i, sym in enumerate([*terminals, PARAMETER, *nonterminals],
+                                            start=1)}
+    return nonterminals, id_of
 
 
-def _preorder_ids(grammar: SlcfGrammar, roots, table: SymbolIdTable) -> list:
+def _preorder_ids(grammar: SlcfGrammar, roots, id_of) -> list:
     """Symbol ids of the rhs trees at ``roots``, each in preorder."""
-    preorder, id_of = grammar.arena.preorder, table.id_of.__getitem__
+    preorder, id_of = grammar.arena.preorder, id_of.__getitem__
     out = []
     for root in roots:
         out += map(id_of, preorder(root))
     return out
 
 
-def serialize_values(grammar: SlcfGrammar, table: SymbolIdTable) -> list:
-    """Value sequence as ``(channel, values)`` segments in stream order.
+def serialize_values(grammar: SlcfGrammar, ids) -> list:
+    """Value sequence as ``(channel, values)`` segments in stream order;
+    ``ids`` is what :func:`assign_ids` returns.
 
     Channels: 'c1' start production ids, 'c2' every other integer, 'c3'
     name bytes (one ``bytes`` segment), 'tag' raw 2-bit characteristic
     tags.
     """
-    segments = [('c2', [len(table.terminals), len(table.nonterminals)])]
+    nonterminals, id_of = ids
+    terminals = grammar.terminal_order
+    segments = [('c2', [len(terminals), len(nonterminals)])]
     for char in LISTED_CHARACTERISTICS:
-        ids = [i for i, sym in enumerate(table.terminals, start=1)
-               if sym.characteristic == char]
+        listed = [i for i, sym in enumerate(terminals, start=1)
+                  if sym.characteristic == char]
         segments.append(('tag', [char.value]))
-        segments.append(('c2', [len(ids)] + ids))
+        segments.append(('c2', [len(listed)] + listed))
     etx = bytes([ETX])
     segments.append(('c3', b"".join([sym.name.encode("utf-8") + etx
-                                     for sym in table.terminals])))
-    bodies = [grammar.productions[nt.id].root for nt in table.nonterminals]
-    segments.append(('c2', _preorder_ids(grammar, bodies, table)))
-    segments.append(('c1', _preorder_ids(grammar, [grammar.start().root], table)))
+                                     for sym in terminals])))
+    bodies = [nt.root for nt in nonterminals]
+    segments.append(('c2', _preorder_ids(grammar, bodies, id_of)))
+    segments.append(('c1', _preorder_ids(grammar, [grammar.start().root], id_of)))
     return segments
 
 
 def encode(grammar: SlcfGrammar) -> bytes:
-    table = assign_ids(grammar)
-    segments = serialize_values(grammar, table)
+    segments = serialize_values(grammar, assign_ids(grammar))
 
     freqs = {ch: Counter() for ch in CODED_CHANNELS}
     for channel, values in segments:

@@ -54,14 +54,6 @@ class ChildrenCharacteristic(enum.IntEnum):
         return (self >> 1) + (self & 1)
 
     @property
-    def has_first_child(self) -> bool:
-        return bool(self & 0b10)
-
-    @property
-    def has_next_sibling(self) -> bool:
-        return bool(self & 0b01)
-
-    @property
     def bits(self) -> str:
         return format(self.value, "02b")
 
@@ -340,7 +332,7 @@ def element_children(tree, v):
 
     A first child sits in slot 0 and a next sibling in the last slot; the
     high and the low bit of a label's characteristic say whether each one
-    is there (bit tests, as the enum properties cost a call per node).
+    is there (bit tests: no call per node).
     """
     labels, children = tree.labels, tree.children
     if not labels[v].characteristic & 0b10:

@@ -55,10 +55,10 @@ def binary_shape(bt):
         kids = [c for c in tree.children[v] if c >= 0]
         i = 0
         left = right = None
-        if label.characteristic.has_first_child:
+        if label.characteristic & 0b10:
             left = rec(kids[i])
             i += 1
-        if label.characteristic.has_next_sibling:
+        if label.characteristic & 0b01:
             right = rec(kids[i])
             i += 1
         assert i == len(kids)
@@ -149,7 +149,7 @@ def canonical_text(g):
     t = g.arena
     lines = []
     for nid in order + [g.start_id]:
-        rank = g.productions[nid].nt.rank
+        rank = g.productions[nid].rank
         head = names[nid] + ("(" + ",".join(["y"] * rank) + ")" if rank else "")
         out = [head, " -> "]
         # Node ids and literal punctuation share one stack.
@@ -205,20 +205,20 @@ def validate_grammar(g):
 
     Every production is owned by its root and every root entry by a
     production, ranks match child counts, references are registered in
-    ``refs``, each rhs has as many parameters as its rank and is not a bare
-    parameter, every non-start production is used, and the grammar is
-    acyclic.
+    their nonterminal's ``refs``, each rhs has as many parameters as its
+    rank and is not a bare parameter, every non-start production is used,
+    and the grammar is acyclic.
     """
     t = g.arena
     assert g.start_id in g.productions
     assert len(g.root_to_prod) == len(g.productions), "stale root entry"
     seen_refs = {i: 0 for i in g.productions}
-    for i, prod in g.productions.items():
-        assert prod.nt.id == i
-        assert t.parents[prod.root] == -1
-        assert g.root_to_prod[prod.root] == i
+    for i, nt in g.productions.items():
+        assert nt.id == i
+        assert t.parents[nt.root] == -1
+        assert g.root_to_prod[nt.root] is nt
         y = 0
-        for v in t.iter_postorder(prod.root):
+        for v in t.iter_postorder(nt.root):
             label = t.labels[v]
             assert label is not None
             if label is PARAMETER:
@@ -226,13 +226,13 @@ def validate_grammar(g):
                 continue
             assert len(t.children[v]) == label.rank
             if isinstance(label, Nonterminal):
-                assert label.id in g.productions, "dangling reference"
-                assert v in g.refs[label.id]
+                assert g.productions.get(label.id) is label, "dangling reference"
+                assert v in label.refs
                 seen_refs[label.id] += 1
-        assert y == prod.nt.rank, "parameter count != rank"
-        assert t.labels[prod.root] is not PARAMETER
-    for i in g.productions:
-        assert seen_refs[i] == len(g.refs[i])
+        assert y == nt.rank, "parameter count != rank"
+        assert t.labels[nt.root] is not PARAMETER
+    for i, nt in g.productions.items():
+        assert seen_refs[i] == len(nt.refs)
         if i != g.start_id:
             assert seen_refs[i] >= 1, "unreferenced nonterminal"
         else:

@@ -8,6 +8,7 @@ and terminals of all four characteristics.  The start body's root has
 characteristic 10, so every value is an XML document.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treerepair import (
@@ -131,3 +132,20 @@ class TestDirectGrammars:
         assert same_structure(tree, want)
         if isinstance(written, bytes):
             assert written == serialize_xml(want)
+
+    @given(g=slcf_grammars())
+    @RELAXED
+    def test_the_value_size_check_is_exact(self, g):
+        """A cap of exactly the value's node count passes and one less
+        fails: the check counts the value, it does not merely bound it."""
+        blob = encode(g)
+        try:
+            decompress_tree(blob, CAP)
+        except DecodeError:
+            return  # the value has more than CAP nodes
+        n = value_by_substitution(g).node_count
+        # every drawn value is XML-rooted: the start body's root is ROOT
+        for decompress in (decompress_tree, decompress_bytes):
+            decompress(blob, n)
+            with pytest.raises(DecodeError, match="exceeds %d nodes" % (n - 1)):
+                decompress(blob, n - 1)

@@ -48,6 +48,10 @@ class TestFlags:
         with pytest.raises(ValueError):
             build_grammar(parse_xml(BOOKS), optimize="bogus")
 
+    def test_rejects_negative_rank(self):
+        with pytest.raises(ValueError, match="max_rank must not be negative"):
+            build_grammar(parse_xml(b"<a><b/><b/><b/></a>"), max_rank=-1)
+
     @pytest.mark.parametrize("max_rank,optimize,use_dag", ALL_COMBOS)
     def test_books_roundtrip_under_every_combo(self, max_rank, optimize, use_dag):
         blob = compress_xml_bytes(BOOKS, max_rank=max_rank,

@@ -68,8 +68,8 @@ class TestHierarchicalOrder:
         order = g.hierarchical_order()
         assert order[-1] == g.start_id
         pos = {nid: i for i, nid in enumerate(order)}
-        for nid in g.productions:
-            for used in g.rhs_nonterminals(nid):
+        for nid, (_, uses) in g.census().items():
+            for used in uses:
                 assert pos[used] < pos[nid]
 
     def test_three_production_chain(self):
@@ -113,7 +113,7 @@ class TestEliminate:
     def test_elimination_preserves_the_derived_tree(self):
         g = books_g4()
         want = g.unfold_value()  # independent arena, safe to keep
-        nts = [g.productions[n].nt for n in list(g.productions) if n != g.start_id]
+        nts = [nt for n, nt in g.productions.items() if n != g.start_id]
         for nt in reversed(nts):
             g.eliminate(nt)
             validate_grammar(g)
@@ -141,12 +141,12 @@ class TestNodeIdentity:
         dag = g.share(v)
         assert slot(t, v) == where
         assert t.labels[v] is dag and dag.is_dag and t.children[v] == []
-        assert list(g.refs[dag.id]) == [v]
-        root = g.productions[dag.id].root
-        assert root != v and g.root_to_prod[root] == dag.id
+        assert list(dag.refs) == [v]
+        root = dag.root
+        assert root != v and g.root_to_prod[root] is dag
         assert t.labels[root] is nts["A"] and t.children[root] is kids
         assert [slot(t, c) for c in kids] == [(root, 1)]
-        assert list(g.refs[nts["A"].id]) == [root]
+        assert list(nts["A"].refs) == [root]
         assert canonical_text(g) == (
             "A_1(y) -> k/1(y)\nA_2 -> A_1(g/1(a/0))\nS -> f/2(A_2,b/0)")
         validate_grammar(g)
@@ -157,8 +157,8 @@ class TestNodeIdentity:
             ("S", 0, ("f/2", ["A", "b/0"])),
         ])
         t = g.arena
-        r, = g.refs[nts["A"].id]
-        where, root = slot(t, r), g.productions[nts["A"].id].root
+        r, = nts["A"].refs
+        where, root = slot(t, r), nts["A"].root
         label, kids = t.labels[root], list(t.children[root])
         g.eliminate(nts["A"])
         assert slot(t, r) == where
@@ -174,9 +174,9 @@ class TestNodeIdentity:
             ("S", 0, ("f/3", ["A", "b/0", "A"])),
         ])
         t = g.arena
-        first, last = g.refs[nts["A"].id]
+        first, last = nts["A"].refs
         where = [slot(t, first), slot(t, last)]
-        root = g.productions[nts["A"].id].root
+        root = nts["A"].root
         label, kids = t.labels[root], list(t.children[root])
         g.eliminate(nts["A"])
         assert [slot(t, first), slot(t, last)] == where
@@ -193,7 +193,7 @@ class TestNodeIdentity:
             ("S", 0, ("f/1", [("A", ["a/0", "b/0"])])),
         ])
         t = g.arena
-        r, = g.refs[nts["A"].id]
+        r, = nts["A"].refs
         where, (a, b) = slot(t, r), t.children[r]
         g.eliminate(nts["A"])
         assert slot(t, r) == where
@@ -211,10 +211,10 @@ class TestNodeIdentity:
             ("S", 0, ("f/2", ["B", "B"])),
         ])
         t = g.arena
-        owner = g.productions[nts["B"].id].root
+        owner = nts["B"].root
         g.eliminate(nts["A"])
-        assert g.productions[nts["B"].id].root == owner
-        assert g.root_to_prod[owner] == nts["B"].id
+        assert nts["B"].root == owner
+        assert g.root_to_prod[owner] is nts["B"]
         assert t.parents[owner] == -1 and t.labels[owner].name == "h"
         assert canonical_text(g) == "A_1 -> h/2(a/0,b/0)\nS -> f/2(A_1,A_1)"
         validate_grammar(g)
@@ -227,10 +227,10 @@ class TestAccounting:
         assert g.grammar_size() == 10
         assert g.nonterminal_count == 5
         rows = []
-        for nid, prod in g.productions.items():
+        for nid, nt in g.productions.items():
             if nid == g.start_id:
                 continue
-            rows.append((prod.nt.rank, g.ref_count(prod.nt), g.production_size(nid), g.sav(prod.nt)))
+            rows.append((nt.rank, len(nt.refs), g.production_size(nid), g.sav(nt)))
         assert rows == [(0, 1, 1, 0), (0, 2, 1, 1), (1, 2, 2, 0), (1, 2, 2, 0)]
 
     def test_validate_accepts_goldens(self):

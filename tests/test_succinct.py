@@ -489,8 +489,8 @@ class TestDecodeErrorPoints:
 class TestIdAssignment:
     def test_books_symbol_numbering(self):
         g = books_grammar()
-        table = assign_ids(g)
-        by_id = {sid: sym for sym, sid in table.id_of.items()}
+        nonterminals, id_of = assign_ids(g)
+        by_id = {sid: sym for sym, sid in id_of.items()}
         names = {}
         for sid in range(1, 7):
             sym = by_id[sid]
@@ -499,9 +499,10 @@ class TestIdAssignment:
             1: ("books", 0b10), 2: ("isbn", 0b00), 3: ("title", 0b01),
             4: ("author", 0b01), 5: ("book", 0b10), 6: ("book", 0b11),
         }
-        assert table.id_of[PARAMETER] == 7
-        prods = [g.productions[n] for n in g.hierarchical_order() if n != g.start_id]
-        assert [table.id_of[p.nt] for p in prods] == [8, 9]
+        assert id_of[PARAMETER] == 7
+        nts = [g.productions[n] for n in g.hierarchical_order() if n != g.start_id]
+        assert nonterminals == nts
+        assert [id_of[nt] for nt in nts] == [8, 9]
 
     def test_generic_ranked_symbols_are_not_encodable(self):
         g, _ = make_grammar([("S", 0, ("f/2", ["a/0", "b/0"]))])

@@ -25,12 +25,6 @@ class TestCharacteristics:
     def test_rank_is_popcount(self):
         assert [c.rank for c in (CC.NO_CHILDREN, CC.NO_LEFT_CHILD, CC.NO_RIGHT_CHILD, CC.TWO_CHILDREN)] == [0, 1, 1, 2]
 
-    def test_slot_flags(self):
-        assert not CC.NO_CHILDREN.has_first_child and not CC.NO_CHILDREN.has_next_sibling
-        assert not CC.NO_LEFT_CHILD.has_first_child and CC.NO_LEFT_CHILD.has_next_sibling
-        assert CC.NO_RIGHT_CHILD.has_first_child and not CC.NO_RIGHT_CHILD.has_next_sibling
-        assert CC.TWO_CHILDREN.has_first_child and CC.TWO_CHILDREN.has_next_sibling
-
 
 class TestTerminalSymbol:
     def test_requires_exactly_one_arity_source(self):
