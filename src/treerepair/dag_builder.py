@@ -1,15 +1,18 @@
-"""Minimal-DAG construction by bottom-up subtree sharing.
+"""Minimal-DAG construction by hash-consing.
 
-Repeated subtrees of the input tree are replaced by references to rank-0
-productions, turning the tree into a DAG-shaped grammar before digram
-replacement runs.  Sharing proceeds bottom-up: a node becomes shareable
-once all its children are atomic (leaf terminals or references to already
-shared subtrees), so every repeated subtree is eventually captured even
-though the hash table only ever keys on depth-1 views.
-
-A production used only once saves nothing, so a final pass splices all
-singly-referenced productions back into their use sites; the result is
-the minimal DAG of the tree in grammar form.
+``hash_cons`` gives every node, children before parents, the id of its
+subtree's equality class, keyed on its label and its children's class ids
+(Downey, Sethi & Tarjan, J. ACM 1980); it also sizes the DAGs for the
+statistics.  ``build_dag_grammar`` walks the postorder once: the second
+sighting of a class moves the first node's subtree into a fresh rank-0
+production and makes both nodes references, later sightings become
+references, and leaves stay literal.  A later copy's children come before
+it and belong to classes already seen, so by its visit they are references
+(or leaves) and only they need killing.  The same holds for the second
+sighting, which thus falls where a bottom-up scheme keying only depth-1
+views of references and leaves would first see a repeat: productions are
+made, and numbered, in that order.  A final pass splices singly-referenced
+productions back, leaving the minimal DAG in grammar form.
 """
 
 from __future__ import annotations
@@ -18,54 +21,44 @@ from .xml_tree import BinaryTree
 from .slcf_grammar import Nonterminal, SlcfGrammar
 
 
+def hash_cons(nodes, kids, labels):
+    """Class ids of the subtrees at ``nodes`` (children before parents;
+    ``kids`` and ``labels`` are lists indexed by node): ``(cls, keys)``
+    with ``cls[v]`` v's id and ``keys`` each class's ``(label, *child ids)``
+    in id order.  Ids follow first sighting, never hash order."""
+    cls = [0] * len(labels)
+    table = {}
+    add = table.setdefault
+    get = cls.__getitem__
+    for v in nodes:
+        cls[v] = add((labels[v], *map(get, kids[v])), len(table))
+    return cls, list(table)
+
+
 def build_dag_grammar(bt: BinaryTree) -> SlcfGrammar:
     """Share repeated subtrees of ``bt`` and wrap it as its minimal DAG.
 
     The tree's arena is adopted; ``bt`` must not be used afterwards.
     """
     g = SlcfGrammar(bt.tree, bt.terminal_order)
-    t = g.arena
-    labels, children = t.labels, t.children
-    # Depth-1 view -> first node seen with it, or its nonterminal once
-    # the view has been seen twice.
-    table = {}
-
-    def key(v):
-        return (labels[v], tuple(map(labels.__getitem__, children[v])))
-
-    def flat(v):
-        return not any(map(children.__getitem__, children[v]))
-
-    def to_reference(v, nt):
-        for c in children[v]:
-            g.kill_node(c)
-        children[v] = []
-        g.relabel(v, nt)
-
-    # Children first.  Leaves stay literal; a node with a non-atomic child
-    # is skipped (its turn comes via the retroactive offer below when that
-    # child gets shared).
-    for v in list(t.iter_postorder(bt.root)):
-        if not children[v] or not flat(v):
+    labels, children = g.arena.labels, g.arena.children
+    nodes = list(g.arena.iter_postorder(bt.root))
+    cls, keys = hash_cons(nodes, children, labels)
+    seen = [None] * len(keys)  # per class: its first node, then its nonterminal
+    for v in nodes:
+        if not children[v]:
             continue
-        k = key(v)
-        hit = table.get(k)
+        c = cls[v]
+        hit = seen[c]
         if hit is None:
-            table[k] = v
-        elif isinstance(hit, Nonterminal):
-            to_reference(v, hit)
-        elif hit != v:
-            # Second sight: the first occurrence becomes the rhs, both
-            # become references.  Its parent may have become shareable by
-            # this, so it is offered to the table retroactively (unless it
-            # is a production root already, or its view is taken: the
-            # first registration wins).  A node offered that way finds
-            # itself at its own visit and has nothing new to learn.
-            p = t.parents[hit]
-            table[k] = g.share(hit)
-            to_reference(v, table[k])
-            if t.parents[p] != -1 and flat(p):
-                table.setdefault(key(p), p)
+            seen[c] = v
+            continue
+        if hit.__class__ is not Nonterminal:
+            hit = seen[c] = g.share(hit)
+        for k in children[v]:
+            g.kill_node(k)
+        children[v] = []
+        g.relabel(v, hit)
     s = g.new_nonterminal(0, is_dag=False)
     g.add_production(s, bt.root, start=True)
     g.splice_single_refs()

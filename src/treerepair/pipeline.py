@@ -10,11 +10,12 @@ and ``decompress_tree`` builds the tree from them.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 from .xml_tree import (BinaryTree, UnsupportedInputError, element_children,
                        parse_xml)
 from .slcf_grammar import DEFAULT_NODE_CAP, GrammarError, SlcfGrammar
-from .dag_builder import build_dag_grammar
+from .dag_builder import build_dag_grammar, hash_cons
 from .digram_index import build_index
 from .replacer import run_replacement_step
 from .pruner import EDGES_THRESHOLD, FILESIZE_THRESHOLD, prune
@@ -27,13 +28,18 @@ OPTIMIZE_THRESHOLDS = {
 }
 
 
-def build_grammar(bt: BinaryTree, max_rank=4, optimize="filesize",
-                  use_dag=True) -> SlcfGrammar:
-    """Run the grammar construction on a tree (consumes its arena)."""
+def check_flags(max_rank, optimize):
+    """Raise ValueError unless the construction flags are valid."""
     if optimize not in OPTIMIZE_THRESHOLDS:
         raise ValueError("optimize must be one of %s" % sorted(OPTIMIZE_THRESHOLDS))
     if max_rank is not None and max_rank < 0:
         raise ValueError("max_rank must not be negative")
+
+
+def build_grammar(bt: BinaryTree, max_rank=4, optimize="filesize",
+                  use_dag=True) -> SlcfGrammar:
+    """Run the grammar construction on a tree (consumes its arena)."""
+    check_flags(max_rank, optimize)
     n_edges = bt.edge_count
     if use_dag:
         g = build_dag_grammar(bt)
@@ -52,6 +58,7 @@ def compress_tree(bt: BinaryTree, max_rank=4, optimize="filesize",
 
 def compress_xml_bytes(data, max_rank=4, optimize="filesize",
                        use_dag=True) -> bytes:
+    check_flags(max_rank, optimize)
     return compress_tree(parse_xml(data), max_rank, optimize, use_dag)
 
 
@@ -73,36 +80,18 @@ def decompress_bytes(data: bytes, node_cap=DEFAULT_NODE_CAP) -> bytes:
         raise DecodeError(str(exc)) from None
 
 
-def _mdag_sizes(root, kids, label):
-    """Sizes of the minimal DAG of the tree at ``root`` by hash-consing.
+def _mdag_sizes(nodes, kids, labels):
+    """Sizes of the minimal DAG of a tree, by ``hash_cons`` over its
+    ``nodes`` listed children before parents.
 
-    ``kids(v)`` lists v's children and ``label(v)`` gives its label.
     Returns the DAG's node count, its edge count and the number of its
     non-leaf nodes with in-degree two or more (the subtrees a DAG grammar
     needs a production for).
     """
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        ks = kids(v)
-        order.append((v, ks))
-        stack.extend(ks)
-    table = {}
-    dag_id = {}
-    indegree = []
-    for v, ks in reversed(order):  # children before parents
-        key = (label(v), tuple(dag_id[c] for c in ks))
-        hit = table.get(key)
-        if hit is None:
-            hit = table[key] = len(table)
-            indegree.append(0)
-            for d in key[1]:
-                indegree[d] += 1
-        dag_id[v] = hit
-    n_edges = sum(len(ks) for _, ks in table)
-    shared = sum(1 for (_, ks), n in zip(table, indegree) if ks and n >= 2)
-    return len(table), n_edges, shared
+    _, keys = hash_cons(nodes, kids, labels)
+    indegree = Counter(d for _, *ks in keys for d in ks)
+    shared = sum(1 for i, key in enumerate(keys) if len(key) > 1 and indegree[i] >= 2)
+    return len(keys), sum(indegree.values()), shared
 
 
 def gather_stats(data, max_rank=4, optimize="filesize", use_dag=True) -> dict:
@@ -112,6 +101,7 @@ def gather_stats(data, max_rank=4, optimize="filesize", use_dag=True) -> dict:
     percentage factors and the wall-clock time.
     """
     started = time.perf_counter()
+    check_flags(max_rank, optimize)
     bt = parse_xml(data)
     stats = {
         "input bytes": len(data),
@@ -119,13 +109,15 @@ def gather_stats(data, max_rank=4, optimize="filesize", use_dag=True) -> dict:
     }
 
     t = bt.tree
-    _, edges, shared = _mdag_sizes(bt.root, t.children.__getitem__,
-                                   t.labels.__getitem__)
+    # element children are binary descendants: one postorder serves both
+    order = list(t.iter_postorder(bt.root))
+    _, edges, shared = _mdag_sizes(order, t.children, t.labels)
     stats["binary mdag edges"] = edges
     stats["binary mdag nonterminals"] = 1 + shared  # the start production
 
-    nodes, edges, _ = _mdag_sizes(bt.root, lambda v: element_children(t, v),
-                                  lambda v: t.labels[v].name)
+    element_kids = [element_children(t, v) for v in range(len(t))]
+    names = [label.name for label in t.labels]
+    nodes, edges, _ = _mdag_sizes(order, element_kids, names)
     stats["unranked mdag edges"] = edges
     stats["unranked mdag nodes"] = nodes
 

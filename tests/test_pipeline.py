@@ -4,6 +4,7 @@ import cProfile
 import enum
 import os
 import pstats
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -15,6 +16,7 @@ from treerepair import (
     PARAMETER,
     ChildrenCharacteristic,
     DecodeError,
+    ParseError,
     SlcfGrammar,
     TerminalSymbol,
     Tree,
@@ -51,6 +53,14 @@ class TestFlags:
     def test_rejects_negative_rank(self):
         with pytest.raises(ValueError, match="max_rank must not be negative"):
             build_grammar(parse_xml(b"<a><b/><b/><b/></a>"), max_rank=-1)
+
+    def test_flags_are_checked_before_parsing(self):
+        with pytest.raises(ValueError, match="max_rank") as excinfo:
+            compress_xml_bytes(b"not xml", max_rank=-1)
+        assert not isinstance(excinfo.value, ParseError)
+        with pytest.raises(ValueError, match="optimize") as excinfo:
+            gather_stats(b"not xml", optimize="x")
+        assert not isinstance(excinfo.value, ParseError)
 
     @pytest.mark.parametrize("max_rank,optimize,use_dag", ALL_COMBOS)
     def test_books_roundtrip_under_every_combo(self, max_rank, optimize, use_dag):
@@ -305,6 +315,37 @@ class TestDeterminism:
         blob = compress_tree(parse_xml(BOOKS))
         assert blob == compress_xml_bytes(BOOKS)
         assert binary_shape(decompress_tree(blob)) == binary_shape(parse_xml(BOOKS))
+
+    def test_streams_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # sharing and digram tables are keyed on labels: every id must
+        # follow insertion order, never the (seeded) order of str hashes
+        paths = []
+        for seed in range(3):
+            path = tmp_path / ("doc%d.xml" % seed)
+            path.write_bytes(random_xml(seed, 400))
+            paths.append(str(path))
+        script = (
+            "import hashlib, sys\n"
+            "from treerepair import compress_tree, compress_xml_bytes\n"
+            "from treerepair.fixtures import gen_M, gen_U\n"
+            "blobs = [compress_xml_bytes(open(p, 'rb').read(), max_rank=r)\n"
+            "         for p in sys.argv[1:] for r in (1, 4, None)]\n"
+            "blobs += [compress_tree(gen_M(3)), compress_tree(gen_U(10))]\n"
+            "for blob in blobs:\n"
+            "    print(hashlib.sha256(blob).hexdigest())\n"
+        )
+        package_dir = os.path.dirname(os.path.dirname(treerepair.__file__))
+        path = os.pathsep.join(filter(None, [package_dir, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for hash_seed in ("0", "12345"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *paths], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert len(digests[0]) == 11
+        assert digests[0] == digests[1]
 
 
 def profiled_calls(run):

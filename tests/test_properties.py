@@ -35,6 +35,7 @@ from treerepair.succinct_decoder import run_length_decode
 
 from conftest import BOOKS, random_xml, shape_to_xml
 from oracles import (
+    binary_mdag_edges,
     binary_shape,
     canonical_text,
     decompress_bytes_by_unfolding,
@@ -132,6 +133,12 @@ class TestGrammarStages:
         g = build_dag_grammar(parse_xml(doc))
         assert stats["binary mdag edges"] == g.grammar_size()
         assert stats["binary mdag nonterminals"] == g.nonterminal_count
+
+    @given(doc=documents)
+    @RELAXED
+    def test_dag_grammar_size_matches_recursive_oracle(self, doc):
+        g = build_dag_grammar(parse_xml(doc))
+        assert g.grammar_size() == binary_mdag_edges(binary_shape(parse_xml(doc)))
 
     @given(doc=documents)
     @RELAXED
