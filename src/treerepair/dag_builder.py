@@ -24,14 +24,14 @@ from .slcf_grammar import Nonterminal, SlcfGrammar
 def hash_cons(nodes, kids, labels):
     """Class ids of the subtrees at ``nodes`` (children before parents;
     ``kids`` and ``labels`` are lists indexed by node): ``(cls, keys)``
-    with ``cls[v]`` v's id and ``keys`` each class's ``(label, *child ids)``
-    in id order.  Ids follow first sighting, never hash order."""
+    with ``cls[v]`` v's id and ``keys`` each class's ``(label id, *child
+    ids)`` in id order.  Ids follow first sighting, never hash order; keys
+    hold only ints, so the garbage collector stops tracking them."""
     cls = [0] * len(labels)
-    table = {}
-    add = table.setdefault
-    get = cls.__getitem__
+    table, lid = {}, {}
+    add, label_id, get = table.setdefault, lid.setdefault, cls.__getitem__
     for v in nodes:
-        cls[v] = add((labels[v], *map(get, kids[v])), len(table))
+        cls[v] = add((label_id(labels[v], len(lid)), *map(get, kids[v])), len(table))
     return cls, list(table)
 
 

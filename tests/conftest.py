@@ -1,5 +1,6 @@
 """Shared fixtures and tree/grammar builders for the test suite."""
 
+import os
 import random
 import sys
 
@@ -7,6 +8,7 @@ import sys
 # The library must not: TestDefaultRecursionLimit checks it at the default.
 sys.setrecursionlimit(60000)
 
+import treerepair
 from treerepair.slcf_grammar import PARAMETER, SlcfGrammar
 from treerepair.xml_tree import BinaryTree, Tree, TerminalSymbol
 
@@ -24,6 +26,14 @@ BOOKS_VALUES = (
     + [("c2", 6), ("c2", 8), ("c2", 7)]
     + [("c1", v) for v in (1, 9, 9, 9, 9, 5, 8)]
 )
+
+
+def subprocess_env(**extra):
+    """``os.environ`` plus ``extra``, with this package's source directory
+    first on ``PYTHONPATH`` so that a child interpreter finds it too."""
+    package_dir = os.path.dirname(os.path.dirname(treerepair.__file__))
+    path = os.pathsep.join(filter(None, [package_dir, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def flat_values(segments):

@@ -1,16 +1,14 @@
 """Command line interface, driven in-process through main()."""
 
-import os
 import subprocess
 import sys
 
 import pytest
 
-import treerepair
 from treerepair import parse_xml
 from treerepair.cli import main
 
-from conftest import BOOKS
+from conftest import BOOKS, subprocess_env
 
 
 @pytest.fixture
@@ -115,12 +113,9 @@ def test_module_is_executable(tmp_path):
     src = tmp_path / "books.xml"
     src.write_bytes(BOOKS)
     out = tmp_path / "books.tr"
-    # the child interpreter finds the package where this one did
-    package_dir = os.path.dirname(os.path.dirname(treerepair.__file__))
-    path = os.pathsep.join(filter(None, [package_dir, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "treerepair", "compress", str(src), str(out)],
-        capture_output=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.stat().st_size > 0

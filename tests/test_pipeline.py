@@ -34,7 +34,7 @@ from treerepair import (
 from treerepair.fixtures import gen_M, gen_perfect_binary, gen_U
 from treerepair.pipeline import DEFAULT_NODE_CAP
 
-from conftest import BOOKS, random_xml
+from conftest import BOOKS, random_xml, subprocess_env
 from oracles import binary_shape, canonical_text, decompress_bytes_by_unfolding
 
 ALL_COMBOS = [
@@ -334,13 +334,11 @@ class TestDeterminism:
             "for blob in blobs:\n"
             "    print(hashlib.sha256(blob).hexdigest())\n"
         )
-        package_dir = os.path.dirname(os.path.dirname(treerepair.__file__))
-        path = os.pathsep.join(filter(None, [package_dir, os.environ.get("PYTHONPATH")]))
         digests = []
         for hash_seed in ("0", "12345"):
             proc = subprocess.run(
                 [sys.executable, "-c", script, *paths], capture_output=True, text=True,
-                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+                env=subprocess_env(PYTHONHASHSEED=hash_seed),
             )
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.split())

@@ -2,19 +2,19 @@
 
 Usage::
 
-    python tools/stream_identity.py OLD_SRC NEW_SRC [--docs N] [--seed S]
+    python tools/stream_identity.py OLD_SRC NEW_SRC
 
 Each ``SRC`` is a directory holding the ``treerepair`` package, such as
-the ``src`` directory of a checkout.  The corpus is made once, here:
-``N`` seeded random documents (280 by default, up to 60 elements over
-eight names) and a seeded 200 KB records document from
-``bench/inputs.py``.  For each side, a child interpreter with
-``PYTHONPATH=SRC`` compresses every document and every tree of the
-``gen_M`` (0-3), ``gen_U`` (3-12) and ``gen_perfect_binary`` (1-9)
-families under 24 flag sets (``max_rank`` 0, 1, 2, 3, 4 and unbounded,
-both objectives, DAG on and off).  It decompresses each document's
-stream with ``decompress_bytes`` and each tree's with ``decompress_tree``
-(a ``gen_*`` root has two children, so its value is no XML document) and
+the ``src`` directory of a checkout.  For each side, a child interpreter
+with ``PYTHONPATH=SRC`` makes a fixed corpus from seed 1: 280 random
+documents of up to 60 elements from ``tests/conftest.random_xml`` and a
+200 KB records document from ``bench/inputs.py``.  It compresses every
+document and every tree of the ``gen_M`` (0-3), ``gen_U`` (3-12) and
+``gen_perfect_binary`` (1-9) families under 24 flag sets (``max_rank``
+0, 1, 2, 3, 4 and unbounded, both objectives, DAG on and off), 7 296
+streams in all.  It decompresses each document's stream with
+``decompress_bytes`` and each tree's with ``decompress_tree`` (a
+``gen_*`` root has two children, so its value is no XML document) and
 writes the tree's preorder as label text.  It prints the stream count and
 one sha256 over every stream and its decompressed output.  The script
 prints both lines and exits 0 if they agree, 1 if not.  It needs no
@@ -29,8 +29,10 @@ import os
 import random
 import subprocess
 import sys
-import tempfile
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
+DOCS = 280
 FLAGS = [(max_rank, optimize, use_dag)
          for max_rank in (0, 1, 2, 3, 4, None)
          for optimize in ("edges", "filesize")
@@ -39,43 +41,17 @@ FAMILIES = [("gen_M", range(4)), ("gen_U", range(3, 13)),
             ("gen_perfect_binary", range(1, 10))]
 
 
-def random_document(rng, max_nodes=60):
-    """XML bytes of a random element tree of 2..max_nodes elements.
-
-    Each element after the root hangs from a uniformly chosen earlier one
-    or, with probability 0.4, from the one just before it, which mixes
-    bushy levels with chains.
-    """
-    n = rng.randint(2, max_nodes)
-    names = [rng.choice("abcdefgh").encode() for _ in range(n)]
-    kids = [[] for _ in range(n)]
-    for v in range(1, n):
-        kids[v - 1 if rng.random() < 0.4 else rng.randrange(v)].append(v)
-    out = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        if v < 0:
-            out.append(b"</%s>" % names[~v])
-        elif kids[v]:
-            out.append(b"<%s>" % names[v])
-            stack.append(~v)
-            stack.extend(reversed(kids[v]))
-        else:
-            out.append(b"<%s/>" % names[v])
-    return b"".join(out)
-
-
-def make_corpus(n_docs, seed):
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                    os.pardir, "bench"))
+def corpus():
+    """The fixed documents, made with this interpreter's package."""
+    sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
+    from conftest import random_xml
     import inputs
 
-    rng = random.Random(seed)
-    return [random_document(rng) for _ in range(n_docs)] + [inputs.records(seed, 200_000)]
+    rng = random.Random(SEED)
+    return [random_xml(rng, 60) for _ in range(DOCS)] + [inputs.records(SEED, 200_000)]
 
 
-def worker(corpus_path):
+def worker():
     """Print the stream count and digest of this interpreter's package."""
     from treerepair import (compress_tree, compress_xml_bytes, decompress_bytes,
                             decompress_tree, fixtures)
@@ -84,13 +60,7 @@ def worker(corpus_path):
         bt = decompress_tree(stream)
         return " ".join(map(repr, bt.tree.preorder(bt.root))).encode()
 
-    with open(corpus_path, "rb") as f:
-        blob = f.read()
-    docs = []
-    while blob:
-        n = int.from_bytes(blob[:8], "big")
-        docs.append(blob[8:8 + n])
-        blob = blob[8 + n:]
+    docs = corpus()
     jobs = [(lambda flags, d=d: compress_xml_bytes(d, *flags), decompress_bytes)
             for d in docs]
     jobs += [(lambda flags, make=getattr(fixtures, name), a=a: compress_tree(make(a), *flags),
@@ -111,31 +81,24 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src")
     ap.add_argument("new_src")
-    ap.add_argument("--docs", type=int, default=280)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        corpus_path = os.path.join(tmp, "corpus")
-        with open(corpus_path, "wb") as f:
-            for doc in make_corpus(args.docs, args.seed):
-                f.write(len(doc).to_bytes(8, "big") + doc)
-        lines = []
-        for src in (args.old_src, args.new_src):
-            proc = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--worker", corpus_path],
-                capture_output=True, text=True,
-                env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
-            if proc.returncode:
-                sys.exit("%s: worker failed\n%s" % (src, proc.stderr))
-            lines.append(proc.stdout.strip())
-            print("%s: %s" % (src, lines[-1]))
+    lines = []
+    for src in (args.old_src, args.new_src):
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--worker"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+        if proc.returncode:
+            sys.exit("%s: worker failed\n%s" % (src, proc.stderr))
+        lines.append(proc.stdout.strip())
+        print("%s: %s" % (src, lines[-1]))
     same = lines[0] == lines[1]
     print("identical" if same else "DIFFERENT")
     return 0 if same else 1
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--worker"]:
-        worker(sys.argv[2])
+    if sys.argv[1:] == ["--worker"]:
+        worker()
     else:
         sys.exit(main())
