@@ -2,9 +2,10 @@
 
 Compression: XML bytes -> binary tree -> (optionally) minimal DAG grammar
 -> digram replacement -> pruning -> succinct bit stream.  Decompression
-decodes the grammar and derives its value's terminals in preorder in one
-walk; ``decompress_bytes`` writes the XML tags from them without a tree,
-and ``decompress_tree`` builds the tree from them.
+decodes the grammar and derives its value's terminals in preorder,
+evaluating productions bottom-up; ``decompress_bytes`` writes the XML tags
+from them without a tree, and ``decompress_tree`` builds the tree from
+them.
 """
 
 from __future__ import annotations

@@ -13,9 +13,14 @@ All right-hand sides live in one shared node arena.  Sharing and
 elimination rewrite a reference node in place: the node a subtree hangs
 from keeps its identity, and with it the parent edge that the digram index
 names by it; only labels and child lists change.  A rhs is read and made
-as its preorder label list (``Tree.preorder``, ``new_tree``); one walk,
-``_derive``, lists the value's terminals in preorder for the tree builder
-and the tag writer alike.
+as its preorder label list (``Tree.preorder``, ``new_tree``).
+
+One function, ``_derive``, lists the value's terminals in preorder for
+the tree builder and the tag writer alike.  After the value-size check
+has sized every production, it evaluates productions bottom-up, each
+once, as the terminal segments of its value around its parameter holes,
+as long as the copies stay within ``COPY_BUDGET`` times the value's size;
+it walks every other production at each use.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ PARAMETER = ParameterSymbol()
 # Default bound on the size of a derived value; a corrupted stream can
 # describe a tree exponentially larger than itself.
 DEFAULT_NODE_CAP = 2 ** 24
+
+# Bound on the terminals that evaluating productions once copies, the
+# value's own included, as a multiple of the value's size: evaluating
+# every production of a chain of single-use ones copies quadratically many.
+COPY_BUDGET = 2
 
 
 class Nonterminal:
@@ -298,25 +308,41 @@ class SlcfGrammar:
     # -- derivation --------------------------------------------------------------
 
     def _check_value_size(self, node_cap):
-        """Raise GrammarError unless the value has at most ``node_cap`` nodes.
+        """Raise GrammarError unless the value has at most ``node_cap`` nodes,
+        and plan its derivation.
 
         The bound is the SLP length computation: bottom-up, a production's
         value counts its rhs terminals plus the values of the productions it
         references (parameters count 0), saturated at ``node_cap + 1``; the
-        counts per rhs come from :meth:`census`.
+        counts per rhs come from :meth:`census`.  It runs before any output
+        exists.
 
-        Returns the entry table: production id -> the rhs node a derivation
-        enters at a reference to it.  That is the rhs root, except for an
-        alias body ``A(y..) -> B(y..)``, one reference whose children are
-        all parameters: it hands its arguments on unchanged, so A's entry
-        is B's.  Filled in the dependency order, the table collapses a
-        chain of aliases once, not once per use.
+        Returns ``(plan, entry)`` for :func:`_derive`.  ``entry`` maps a
+        production id to the rhs node a derivation enters at a reference
+        to it.  That is the rhs root, except for an alias body
+        ``A(y..) -> B(y..)``, one reference whose children are all
+        parameters: it hands its arguments on unchanged, so A's entry is
+        B's.  Filled in the dependency order, the table collapses a chain
+        of aliases once, not once per use.
+
+        ``plan`` lists the rhs roots of the productions whose values
+        ``_derive`` evaluates once, in dependency order, and ends with the
+        start's.  Evaluating production i copies exactly ``size[i]``
+        terminals, so once the value's size is known, each production in
+        dependency order is taken if its size still fits: the sizes taken,
+        the value's own included, stay within ``COPY_BUDGET`` times the
+        value's size.  A production left out is walked at each use, as is
+        an alias of one;
+        an alias of an evaluated production shares its target's entry, so
+        it is evaluated at no cost.  Sizes only grow along references, so
+        an evaluated production never references a walked one.
         """
         labels, productions = self.arena.labels, self.productions
         census = self.census()
+        order = _dependency_order(census)
         size = {}
         entry = {}
-        for i in _dependency_order(census):
+        for i in order:
             count, used = census[i]
             total = count + sum([size[j] * k for j, k in used.items()])
             size[i] = min(total, node_cap + 1)
@@ -326,9 +352,18 @@ class SlcfGrammar:
                 entry[i] = entry[labels[root].id]
             else:
                 entry[i] = root
-        if size[self.start_id] > node_cap:
+        start = self.start_id
+        if size[start] > node_cap:
             raise GrammarError("unfolded value exceeds %d nodes" % node_cap)
-        return entry
+        room = (COPY_BUDGET - 1) * size[start]
+        plan = []
+        for i in order:
+            root = productions[i].root
+            if entry[i] == root and size[i] <= room and i != start:
+                room -= size[i]
+                plan.append(root)
+        plan.append(productions[start].root)
+        return plan, entry
 
     def unfold_value(self, node_cap=DEFAULT_NODE_CAP) -> BinaryTree:
         """Derive the grammar's value as a fresh tree.
@@ -336,9 +371,9 @@ class SlcfGrammar:
         ``node_cap`` bounds the output size; a value larger than that
         raises GrammarError before any output node exists.
         """
-        entry = self._check_value_size(node_cap)
+        plan, entry = self._check_value_size(node_cap)
         out = Tree()
-        root, = out.add_preorder(_derive(self.arena, self.start().root, entry))
+        root, = out.add_preorder(_derive(self.arena, plan, entry))
         return BinaryTree(out, root, self.terminal_order)
 
     def write_xml(self, node_cap=DEFAULT_NODE_CAP) -> bytes:
@@ -350,47 +385,100 @@ class SlcfGrammar:
         written.  A value whose root is not an XML-origin root raises
         UnsupportedInputError.
         """
-        entry = self._check_value_size(node_cap)
-        return _write_tags(_derive(self.arena, self.start().root, entry))
+        plan, entry = self._check_value_size(node_cap)
+        return _write_tags(_derive(self.arena, plan, entry))
 
 
-def _derive(arena, root, entry) -> list:
-    """Terminals of the value derived from ``root``, in preorder.
+def _derive(arena, plan, entry) -> list:
+    """Terminals of the value, in preorder, evaluated bottom-up.
 
-    The one walk that follows references and parameters, traversing an
-    SLCF grammar's value without decompressing it (Busatto, Lohrey &
-    Maneth, *Efficient memory representation of XML document trees*,
-    Information Systems 2008).  Work items pair an rhs node with an
-    environment: a reference enters its production at ``entry`` (from
-    ``_check_value_size``) with its arguments, reversed.  A linear rhs
-    meets its parameter leaves in preorder, the order of its arguments,
-    so each leaf takes the argument it stands for with ``env.pop()``.
+    The one walk that follows references and parameters.  It evaluates
+    each rhs root of ``plan`` (from ``_check_value_size``) in turn, the
+    start's last, as a straight-line program is evaluated (Lohrey,
+    *Algorithmics on SLP-compressed strings: a survey*, Groups Complexity
+    Cryptology 2012): the value of a production of rank k is kept as the
+    k + 1 terminal segments of its preorder around its parameter holes.
+
+    Work items pair an rhs node with an environment.  A reference to an
+    evaluated production extends the output with segment 0, then derives
+    argument 1, segment 1, .. argument k, segment k (an empty segment is
+    not queued).  Any other reference enters its production at ``entry``
+    with its arguments, reversed, as the environment, traversing the
+    value without decompressing it (Busatto, Lohrey & Maneth, *Efficient
+    memory representation of XML document trees*, Information Systems
+    2008).  A linear rhs meets its parameter leaves in preorder, the order
+    of its arguments, so each leaf takes the argument it stands for with
+    ``env.pop()``; a parameter leaf of the rhs being evaluated, whose
+    environment is None, closes the current segment.
+
+    The walk is linear: its steps are at most a constant times the value's
+    nodes plus the rhs nodes.  Evaluating a plan entry walks its rhs once
+    and meets only references to evaluated productions.  The start's walk
+    visits each rhs node of each instance of a walked production once,
+    and such a node is a terminal, which makes a value node; a reference,
+    which makes an instance or extends the output by at least one
+    terminal (every value has one, as the decoder rejects bare-parameter
+    bodies); or a parameter, which takes an argument, a node of the
+    instance above.  An alias resolves through ``entry`` without an
+    instance, and every other body without a terminal has a second
+    reference below its root, so an instance that makes no value node
+    branches into two or more: the instances number at most about twice
+    the value's nodes.  The segments copy at most ``COPY_BUDGET`` times
+    the value's nodes, in list extends.
     """
     labels, children = arena.labels, arena.children
-    out = []
-    stack = [(root, None)]
-    while stack:
-        v, env = stack.pop()
-        while True:
-            label = labels[v]
-            while label.__class__ is not TerminalSymbol:
-                if label is PARAMETER:
+    segments = {}  # rhs root of an evaluated production -> its segments
+    for root in plan:
+        parts = []
+        out = []
+        stack = [(root, None)]
+        while stack:
+            v, env = stack.pop()
+            if v is None:  # a segment of an evaluated production
+                out += env
+                continue
+            while True:
+                label = labels[v]
+                if label.__class__ is TerminalSymbol:
+                    out.append(label)
+                    rank = label.rank
+                    if not rank:
+                        break
+                    kids = children[v]
+                    if rank == 2:
+                        stack.append((kids[1], env))
+                    elif rank > 2:
+                        stack += [(c, env) for c in reversed(kids[1:])]
+                    v = kids[0]
+                elif label is PARAMETER:
+                    if env is None:  # a hole of the rhs being evaluated
+                        parts.append(out)
+                        out = []
+                        break
                     v, env = env.pop()
                 else:
+                    e = entry[label.id]
+                    segs = segments.get(e)
+                    if segs is not None:
+                        out += segs[0]
+                        rank = label.rank
+                        if not rank:
+                            break
+                        kids = children[v]
+                        if segs[rank]:
+                            stack.append((None, segs[rank]))
+                        while rank > 1:
+                            rank -= 1
+                            stack.append((kids[rank], env))
+                            if segs[rank]:
+                                stack.append((None, segs[rank]))
+                        v = kids[0]
+                        continue
                     if label.rank:  # a rank-0 rhs has no parameters to take
                         env = [(c, env) for c in reversed(children[v])]
-                    v = entry[label.id]
-                label = labels[v]
-            out.append(label)
-            rank = label.rank
-            if not rank:
-                break
-            kids = children[v]
-            if rank == 2:
-                stack.append((kids[1], env))
-            elif rank > 2:
-                stack += [(c, env) for c in reversed(kids[1:])]
-            v = kids[0]
+                    v = e
+        parts.append(out)
+        segments[root] = parts
     return out
 
 

@@ -215,6 +215,49 @@ class TestAliasChain:
         assert serialize_xml(tree) == want
 
 
+def single_use_chain_stream(p):
+    """Stream of A_0 -> b, A_i -> a(A_(i-1), b) for i = 1..p and S ->
+    r(A_p), each A_i used once: a value of 2p + 2 nodes, while the values
+    of all productions sum to about p**2 nodes."""
+    r = TerminalSymbol("r", ChildrenCharacteristic.NO_RIGHT_CHILD)
+    a = TerminalSymbol("a", ChildrenCharacteristic.TWO_CHILDREN)
+    b = TerminalSymbol("b", ChildrenCharacteristic.NO_CHILDREN)
+    g = SlcfGrammar(Tree(), [r, a, b])
+    prev = g.new_nonterminal(0, is_dag=False)
+    g.add_production(prev, g.new_node(b))
+    for _ in range(p):
+        nt = g.new_nonterminal(0, is_dag=False)
+        top = g.new_node(a)
+        g.arena.set_children(top, [g.new_node(prev), g.new_node(b)])
+        g.add_production(nt, top)
+        prev = nt
+    s = g.new_node(r)
+    g.arena.set_children(s, [g.new_node(prev)])
+    g.add_production(g.new_nonterminal(0, is_dag=False), s, start=True)
+    return encode(g)
+
+
+class TestCopyBudget:
+    @pytest.mark.parametrize("decompress, xml", [(decompress_bytes, bytes),
+                                                 (decompress_tree, serialize_xml)],
+                             ids=["bytes", "tree"])
+    def test_single_use_chain_is_not_evaluated_whole(self, decompress, xml):
+        # evaluating each A_i once would copy about 16 M terminals
+        blob = single_use_chain_stream(4000)
+        want = b"<r>" + b"<a>" * 4000 + b"<b/>" + b"</a><b/>" * 4000 + b"</r>"
+        started = time.perf_counter()
+        out = decompress(blob)
+        assert time.perf_counter() - started < 0.5
+        assert xml(out) == want
+        tracemalloc.start()
+        try:
+            decompress(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
 class TestDerivedRoot:
     def test_root_is_found_through_references(self):
         blob = reference_root_stream(ChildrenCharacteristic.NO_RIGHT_CHILD)

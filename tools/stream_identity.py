@@ -7,12 +7,13 @@ Usage::
 Each ``SRC`` is a directory holding the ``treerepair`` package, such as
 the ``src`` directory of a checkout.  For each side, a child interpreter
 with ``PYTHONPATH=SRC`` makes a fixed corpus from seed 1: 280 random
-documents of up to 60 elements from ``tests/conftest.random_xml`` and a
-200 KB records document from ``bench/inputs.py``.  It compresses every
-document and every tree of the ``gen_M`` (0-3), ``gen_U`` (3-12) and
-``gen_perfect_binary`` (1-9) families under 24 flag sets (``max_rank``
-0, 1, 2, 3, 4 and unbounded, both objectives, DAG on and off), 7 296
-streams in all.  It decompresses each document's stream with
+documents of up to 60 elements from ``tests/conftest.random_xml``, and
+from ``bench/inputs.py`` a 200 KB records document and the depth-12
+``mtree`` document of the ``M-d12-rank-inf`` bench workload.  It
+compresses every document and every tree of the ``gen_M`` (0-3),
+``gen_U`` (3-12) and ``gen_perfect_binary`` (1-9) families under 24 flag
+sets (``max_rank`` 0, 1, 2, 3, 4 and unbounded, both objectives, DAG on
+and off), 7 320 streams in all.  It decompresses each document's stream with
 ``decompress_bytes`` and each tree's with ``decompress_tree`` (a
 ``gen_*`` root has two children, so its value is no XML document) and
 writes the tree's preorder as label text.  It prints the stream count and
@@ -48,7 +49,8 @@ def corpus():
     import inputs
 
     rng = random.Random(SEED)
-    return [random_xml(rng, 60) for _ in range(DOCS)] + [inputs.records(SEED, 200_000)]
+    return ([random_xml(rng, 60) for _ in range(DOCS)]
+            + [inputs.records(SEED, 200_000), inputs.mtree(12)])
 
 
 def worker():
