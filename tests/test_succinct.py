@@ -461,6 +461,26 @@ class TestDecodeErrorPoints:
         with pytest.raises(DecodeError, match=message):
             decode(r_of_a_stream(**parts))
 
+    @pytest.mark.parametrize("parts, message", [
+        (dict(names=b"\x03a\x03"), "bad terminal name: empty terminal name"),
+        (dict(names=b"r\x03\x03"), "bad terminal name: empty terminal name"),
+        # positions count within the name, not the section
+        (dict(names=b"r\x03a\xff\x03"), "bad terminal name: 'utf-8' codec can't decode "
+                                        "byte 0xff in position 1: invalid start byte"),
+        (dict(names=b"\xc3\x03a\x03"), "bad terminal name: 'utf-8' codec can't decode "
+                                       "byte 0xc3 in position 0: unexpected end of data"),
+        (dict(names=b"r\x03a\x01\x03"),
+         "bad terminal name: control character in terminal name: 'a\\x01'"),
+        # r^10 (id 1), then a^00 twice (ids 2 and 3)
+        (dict(counts=(3, 0), blocks=((2, 2, 3), (0,), (1, 1)), names=b"r\x03a\x03a\x03"),
+         "duplicate terminal a^00"),
+    ], ids=["empty-first", "empty-later", "lone-ff", "cut-lead-byte", "control-second",
+            "duplicate-last"])
+    def test_name_fault_message(self, parts, message):
+        with pytest.raises(DecodeError) as exc:
+            decode(r_of_a_stream(**parts))
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("ids, message", [
         (range(1, 41), "truncated input"),
         ([1, 1, *range(2, 40)], "bad terminal id 1 in characteristic block"),
