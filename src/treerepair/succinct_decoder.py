@@ -9,19 +9,38 @@ one ``CanonicalDecoder.read_block`` whose balance ends the block: ids count
 ids rank - 1 against 1.  A body's ids are its preorder, from which
 ``SlcfGrammar.new_tree`` makes its nodes in one pass.  Faults get the
 messages and the order a read per value would give them.
+
+The names section makes the terminal alphabet in a few C-level passes
+when its last name is complete: one UTF-8 decode of the whole section,
+one match of every name against ``xml_tree.NAME`` (the rule
+``TerminalSymbol`` checks), one split, a tuple per symbol with no second
+check and its rank from a per-characteristic table, and one
+``dict.fromkeys`` whose size shows a duplicate.  Any fault, or a last name
+cut by a failed read, hands the section to a loop that makes one checked
+symbol per name and reports the first faulty name, so the messages and
+their order are those of a read per name.
 """
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
+from functools import partial
+from itertools import repeat
 
 from .bitio import BitReader, BitstreamEnd
-from .xml_tree import ETX, ChildrenCharacteristic, TerminalSymbol, Tree
+from .xml_tree import ETX, NAME, ChildrenCharacteristic, TerminalSymbol, Tree
 from .slcf_grammar import PARAMETER, SlcfGrammar
 from .succinct_coder import FIELD_BITS, MAX_CODE_BITS, CanonicalDecoder, DecodeError
 
 # name-section deltas: each ETX ends one of the names the read counts down
 _NAME_DELTAS = tuple(-(b == ETX) for b in range(256))
+# names that each keep the name rule and end with ETX; possessive, so the
+# match keeps no backtracking state per name
+_NAMES = re.compile("(?:%s%c)*+" % (NAME.pattern, ETX))
+_RANK = {char: char.rank for char in ChildrenCharacteristic}
+# a symbol from (name, characteristic, rank), for a name ``_NAMES`` passed
+_new_symbol = partial(tuple.__new__, TerminalSymbol)
 
 
 def run_length_decode(reader, super_decoder, n, expected) -> dict:
@@ -91,6 +110,46 @@ def _parse_body(reader, decoder, grammar, symbols, deltas, parameter_id):
         raise DecodeError("production body is a bare parameter")
     root, = grammar.new_tree(list(map(symbols.__getitem__, ids)))
     return root, ids.count(parameter_id)
+
+
+def _read_terminals(raw, char_of) -> dict:
+    """The terminals of the complete names in ``raw``, as an ordered set.
+
+    Name i (from 1) gets characteristic ``char_of[i]``, TWO_CHILDREN when
+    unlisted.  ``raw`` is emptied once its text passes the name rule, so
+    the bytes, the text and the split names are never held at once.
+    """
+    text = None
+    if raw and raw[-1] == ETX:
+        try:
+            text = str(raw, "utf-8")
+        except UnicodeDecodeError:
+            pass
+    if text is not None and _NAMES.fullmatch(text):
+        raw.clear()
+        names = text.split(chr(ETX))
+        names.pop()  # the empty string after the last ETX
+        chars = list(map(char_of.get, range(1, len(names) + 1),
+                         repeat(ChildrenCharacteristic.TWO_CHILDREN)))
+        terminals = dict.fromkeys(
+            map(_new_symbol, zip(names, chars, map(_RANK.__getitem__, chars))))
+        if len(terminals) == len(names):
+            return terminals
+        raw = text.encode("utf-8")  # the loop finds the first duplicate
+    terminals = {}
+    begin, end = 0, raw.find(ETX)
+    view = memoryview(raw)  # a name's str is its one copy
+    while end >= 0:
+        char = char_of.get(len(terminals) + 1, ChildrenCharacteristic.TWO_CHILDREN)
+        try:
+            sym = TerminalSymbol(str(view[begin:end], "utf-8"), char)
+        except (UnicodeDecodeError, ValueError) as exc:
+            raise DecodeError("bad terminal name: %s" % exc) from None
+        if sym in terminals:
+            raise DecodeError("duplicate terminal %r" % (sym,))
+        terminals[sym] = None
+        begin, end = end + 1, raw.find(ETX, end + 1)
+    return terminals
 
 
 def decode(data: bytes) -> SlcfGrammar:
@@ -166,22 +225,10 @@ def _decode(reader) -> SlcfGrammar:
             raise DecodeError("bad terminal id %d in characteristic block" % bad)
 
     raw = bytearray()
-    terminals = {}  # an ordered set: ids follow the insertion order
     try:
         bad = c3.read_block(reader, raw, _NAME_DELTAS, n_terminals, 0xFF)
     finally:
-        begin, end = 0, raw.find(ETX)
-        view = memoryview(raw)  # a name's str is its one copy
-        while end >= 0:
-            char = char_of.get(len(terminals) + 1, ChildrenCharacteristic.TWO_CHILDREN)
-            try:
-                sym = TerminalSymbol(str(view[begin:end], "utf-8"), char)
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise DecodeError("bad terminal name: %s" % exc) from None
-            if sym in terminals:
-                raise DecodeError("duplicate terminal %r" % (sym,))
-            terminals[sym] = None
-            begin, end = end + 1, raw.find(ETX, end + 1)
+        terminals = _read_terminals(raw, char_of)
     if bad is not None:
         raise DecodeError("name byte %d out of range" % bad)
 

@@ -13,12 +13,17 @@ symbol).
 from __future__ import annotations
 
 import enum
+import re
 from collections import namedtuple
 from xml.parsers import expat
 
 # Byte value used as the name terminator in the succinct coding; element
 # names must not contain it.
 ETX = 0x03
+
+# The name rule: a terminal name is one or more characters, none below
+# U+0020, so none is the ETX that ends a name in the succinct coding.
+NAME = re.compile(r"[^\x00-\x1f]+")
 
 
 class ParseError(ValueError):
@@ -77,9 +82,9 @@ class TerminalSymbol(namedtuple("TerminalSymbol", "name characteristic rank")):
     __slots__ = ()
 
     def __new__(cls, name, characteristic=None, *, rank=None):
-        if not name:
-            raise ValueError("empty terminal name")
-        if min(name) < " ":
+        if NAME.fullmatch(name) is None:
+            if not name:
+                raise ValueError("empty terminal name")
             raise ValueError("control character in terminal name: %r" % name)
         if (characteristic is None) == (rank is None):
             raise ValueError("give exactly one of characteristic and rank")

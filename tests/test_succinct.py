@@ -1,5 +1,7 @@
 """Binary coding: Huffman tables, run-length coding, the output format."""
 
+import cProfile
+import pstats
 import random
 import time
 import tracemalloc
@@ -9,8 +11,9 @@ from unittest import mock
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from treerepair import (compress_xml_bytes, decode, decompress_bytes, encode,
-                        parse_xml, succinct_coder)
+from treerepair import (compress_tree, compress_xml_bytes, decode, decompress_bytes, encode,
+                        parse_xml, succinct_coder, xml_tree)
+from treerepair.fixtures import gen_M
 from treerepair.pipeline import build_grammar
 from treerepair.succinct_coder import (
     DecodeError,
@@ -504,6 +507,36 @@ class TestDecodeErrorPoints:
         assert len(blob) > 400
         with pytest.raises(DecodeError, match=message):
             decode(blob[:len(blob) // 2])
+
+
+class TestNameSectionProtocol:
+    """Call counts, not wall time: a clean names section is read without a
+    ``TerminalSymbol`` construction per name, a faulty one by the loop that
+    constructs one per name."""
+
+    @staticmethod
+    def symbol_constructions(data):
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            decode(data)
+        except DecodeError:
+            pass
+        finally:
+            profiler.disable()
+        return sum(calls for (path, _, func), (_, calls, *_) in pstats.Stats(profiler).stats.items()
+                   if path == xml_tree.__file__ and func == "__new__")
+
+    def test_a_clean_section_constructs_no_symbol(self):
+        blob = compress_tree(gen_M(3))  # 256 distinct leaf names
+        assert len(decode(blob).terminal_order) == 257
+        assert self.symbol_constructions(blob) == 0
+
+    def test_a_faulty_name_is_reported_by_the_per_name_loop(self):
+        blob = r_of_a_stream(names=b"r\x03a\x01\x03")
+        with pytest.raises(DecodeError, match="control character"):
+            decode(blob)
+        assert self.symbol_constructions(blob) == 2
 
 
 class TestIdAssignment:
