@@ -12,18 +12,17 @@ messages and the order a read per value would give them.
 
 The names section makes the terminal alphabet in a few C-level passes
 when its last name is complete: one UTF-8 decode of the whole section,
-one match of every name against ``xml_tree.NAME`` (the rule
-``TerminalSymbol`` checks), one split, a tuple per symbol with no second
-check and its rank from a per-characteristic table, and one
-``dict.fromkeys`` whose size shows a duplicate.  Any fault, or a last name
-cut by a failed read, hands the section to a loop that makes one checked
-symbol per name and reports the first faulty name, so the messages and
-their order are those of a read per name.
+one split, one ``xml_tree.NAME`` match per name (the rule
+``TerminalSymbol`` checks), a tuple per symbol with no second check and
+its rank from a per-characteristic table, and one ``dict.fromkeys`` whose
+size shows a duplicate.  Any fault, or a last name cut by a failed read,
+hands the section to a loop that makes one checked symbol per name and
+reports the first faulty name, so the messages and their order are those
+of a read per name.
 """
 
 from __future__ import annotations
 
-import re
 from collections import defaultdict
 from functools import partial
 from itertools import repeat
@@ -35,11 +34,8 @@ from .succinct_coder import FIELD_BITS, MAX_CODE_BITS, CanonicalDecoder, DecodeE
 
 # name-section deltas: each ETX ends one of the names the read counts down
 _NAME_DELTAS = tuple(-(b == ETX) for b in range(256))
-# names that each keep the name rule and end with ETX; possessive, so the
-# match keeps no backtracking state per name
-_NAMES = re.compile("(?:%s%c)*+" % (NAME.pattern, ETX))
 _RANK = {char: char.rank for char in ChildrenCharacteristic}
-# a symbol from (name, characteristic, rank), for a name ``_NAMES`` passed
+# a symbol from (name, characteristic, rank), for a name that keeps the rule
 _new_symbol = partial(tuple.__new__, TerminalSymbol)
 
 
@@ -116,8 +112,9 @@ def _read_terminals(raw, char_of) -> dict:
     """The terminals of the complete names in ``raw``, as an ordered set.
 
     Name i (from 1) gets characteristic ``char_of[i]``, TWO_CHILDREN when
-    unlisted.  ``raw`` is emptied once its text passes the name rule, so
-    the bytes, the text and the split names are never held at once.
+    unlisted.  ``raw`` is emptied once its text is decoded, so the bytes,
+    the text and the split names are never held at once; a fault writes
+    the text back to bytes for the loop.
     """
     text = None
     if raw and raw[-1] == ETX:
@@ -125,17 +122,18 @@ def _read_terminals(raw, char_of) -> dict:
             text = str(raw, "utf-8")
         except UnicodeDecodeError:
             pass
-    if text is not None and _NAMES.fullmatch(text):
+    if text is not None:
         raw.clear()
         names = text.split(chr(ETX))
         names.pop()  # the empty string after the last ETX
-        chars = list(map(char_of.get, range(1, len(names) + 1),
-                         repeat(ChildrenCharacteristic.TWO_CHILDREN)))
-        terminals = dict.fromkeys(
-            map(_new_symbol, zip(names, chars, map(_RANK.__getitem__, chars))))
-        if len(terminals) == len(names):
-            return terminals
-        raw = text.encode("utf-8")  # the loop finds the first duplicate
+        if all(map(NAME.fullmatch, names)):
+            chars = list(map(char_of.get, range(1, len(names) + 1),
+                             repeat(ChildrenCharacteristic.TWO_CHILDREN)))
+            terminals = dict.fromkeys(
+                map(_new_symbol, zip(names, chars, map(_RANK.__getitem__, chars))))
+            if len(terminals) == len(names):
+                return terminals
+        raw = text.encode("utf-8")  # for the loop to find the fault in
     terminals = {}
     begin, end = 0, raw.find(ETX)
     view = memoryview(raw)  # a name's str is its one copy

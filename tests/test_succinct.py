@@ -30,6 +30,8 @@ from treerepair.succinct_coder import (
 )
 from treerepair.bitio import BitReader, BitstreamEnd, bits_to_bytes
 from treerepair.slcf_grammar import PARAMETER
+from treerepair.succinct_decoder import _read_terminals
+from treerepair.xml_tree import ChildrenCharacteristic
 
 from conftest import BOOKS, BOOKS_VALUES, flat_values, make_grammar, read_header
 from oracles import (bitwise_reader, canonical_text, huffman_cost, kraft_sum, prefix_free,
@@ -537,6 +539,24 @@ class TestNameSectionProtocol:
         with pytest.raises(DecodeError, match="control character"):
             decode(blob)
         assert self.symbol_constructions(blob) == 2
+
+    @given(names=st.lists(st.lists(st.sampled_from(
+               [b"", b"a", b"b", b" ", b"\x01", b"\x1f", b"\x03", b"\xff", b"\xc3", b"\xa9"]),
+               max_size=3).map(b"".join), min_size=1, max_size=6),
+           chars=st.lists(st.sampled_from(list(ChildrenCharacteristic)), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_the_bulk_read_matches_the_per_name_loop(self, names, chars):
+        section = b"".join(name + b"\x03" for name in names)
+        char_of = dict(enumerate(chars, 1))
+
+        def outcome(raw):
+            try:
+                return list(_read_terminals(bytearray(raw), char_of))
+            except DecodeError as exc:
+                return str(exc)
+
+        # a cut last name hands the same complete names to the loop
+        assert outcome(section) == outcome(section + b"a")
 
 
 class TestIdAssignment:
