@@ -12,13 +12,13 @@ messages and the order a read per value would give them.
 
 The names section makes the terminal alphabet in a few C-level passes
 when its last name is complete: one UTF-8 decode of the whole section,
-one split, one ``xml_tree.NAME`` match per name (the rule
-``TerminalSymbol`` checks), a tuple per symbol with no second check and
-its rank from a per-characteristic table, and one ``dict.fromkeys`` whose
-size shows a duplicate.  Any fault, or a last name cut by a failed read,
-hands the section to a loop that makes one checked symbol per name and
-reports the first faulty name, so the messages and their order are those
-of a read per name.
+one split, one test for an empty name and one ``xml_tree.LOW_CHAR``
+search per name (the rule ``TerminalSymbol`` checks), a tuple per symbol
+with no second check and its rank from a per-characteristic table, and
+one ``dict.fromkeys`` whose size shows a duplicate.  Any fault, or a last
+name cut by a failed read, hands the section to a loop that makes one
+checked symbol per name and reports the first faulty name, so the
+messages and their order are those of a read per name.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import partial
 from itertools import repeat
 
 from .bitio import BitReader, BitstreamEnd
-from .xml_tree import ETX, NAME, ChildrenCharacteristic, TerminalSymbol, Tree
+from .xml_tree import ETX, LOW_CHAR, ChildrenCharacteristic, TerminalSymbol, Tree
 from .slcf_grammar import PARAMETER, SlcfGrammar
 from .succinct_coder import FIELD_BITS, MAX_CODE_BITS, CanonicalDecoder, DecodeError
 
@@ -126,7 +126,7 @@ def _read_terminals(raw, char_of) -> dict:
         raw.clear()
         names = text.split(chr(ETX))
         names.pop()  # the empty string after the last ETX
-        if all(map(NAME.fullmatch, names)):
+        if "" not in names and not any(map(LOW_CHAR.search, names)):
             chars = list(map(char_of.get, range(1, len(names) + 1),
                              repeat(ChildrenCharacteristic.TWO_CHILDREN)))
             terminals = dict.fromkeys(

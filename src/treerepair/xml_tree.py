@@ -21,9 +21,12 @@ from xml.parsers import expat
 # names must not contain it.
 ETX = 0x03
 
-# The name rule: a terminal name is one or more characters, none below
-# U+0020, so none is the ETX that ends a name in the succinct coding.
-NAME = re.compile(r"[^\x00-\x1f]+")
+# The name rule: a terminal name is not empty and has no character below
+# U+0020, so none holds the ETX that ends a name in the succinct coding.
+# ``TerminalSymbol`` and the decoder's bulk read of the names both find
+# such a character with ``LOW_CHAR``, whose search of a name that keeps
+# the rule makes no match object.
+LOW_CHAR = re.compile(r"[\x00-\x1f]")
 
 
 class ParseError(ValueError):
@@ -82,9 +85,9 @@ class TerminalSymbol(namedtuple("TerminalSymbol", "name characteristic rank")):
     __slots__ = ()
 
     def __new__(cls, name, characteristic=None, *, rank=None):
-        if NAME.fullmatch(name) is None:
-            if not name:
-                raise ValueError("empty terminal name")
+        if not name:
+            raise ValueError("empty terminal name")
+        if LOW_CHAR.search(name):
             raise ValueError("control character in terminal name: %r" % name)
         if (characteristic is None) == (rank is None):
             raise ValueError("give exactly one of characteristic and rank")
