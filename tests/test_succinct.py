@@ -479,7 +479,7 @@ class TestDecodeErrorPoints:
         # r^10 (id 1), then a^00 twice (ids 2 and 3)
         (dict(counts=(3, 0), blocks=((2, 2, 3), (0,), (1, 1)), names=b"r\x03a\x03a\x03"),
          "duplicate terminal a^00"),
-    ], ids=["empty-first", "empty-later", "lone-ff", "cut-lead-byte", "control-second",
+    ], ids=["empty-first", "empty-later", "ff-in-name", "cut-lead-byte", "control-second",
             "duplicate-last"])
     def test_name_fault_message(self, parts, message):
         with pytest.raises(DecodeError) as exc:
