@@ -24,15 +24,19 @@ in tie-breaking.  ``pop_most_frequent`` hands out record ids;
 occurrence off the head edge of its list.
 
 Only two methods change the lists: ``link(nodes)`` lists the parent edge
-of each given node and ``unlink(nodes)`` drops it.  A node never changes
-the edge it ends: grammar rewrites keep a subtree's top node in place and
-change its label and children.  Which edges a rewrite touches is the
-replacer's business (``replace_occurrence``).
+of each given node and ``unlink(nodes)`` drops it.  Each places the
+records whose counts it changes as it goes, edge by edge.  A node never
+changes the edge it ends: grammar rewrites keep a subtree's top node in
+place and change its label and children.  Which edges a rewrite touches
+is the replacer's business (``replace_occurrence``).
 
 Digram priorities live in sqrt(n) frequency buckets plus an unsorted top
-list for frequencies >= sqrt(n) (n = edge count of the input tree).  Only
-records with at least two occurrences are placed; records below two sit
-in no bucket.  The maximum frequency only decreases over a replacement
+list (n = edge count of the input tree, ``bucket_limit`` its integer
+square root).  A record's count places it: a count of 2 to
+``bucket_limit`` - 1 in the bucket of that count, a count of at least
+max(2, ``bucket_limit``) in the top list, a count below two nowhere, so
+``pop_most_frequent`` never hands out a record with fewer than two
+occurrences.  The maximum frequency only decreases over a replacement
 run, which makes the scan cursor amortized cheap.
 
 In a DAG-shaped grammar a reference to a rank-0 DAG nonterminal counts as
@@ -59,6 +63,10 @@ END = -2   # no previous / next occurrence (list terminator)
 # below it.
 _BITS = 32
 
+# The edge arrays grow by this many entries more than the arena needs, so
+# that a rewrite that makes a node or two seldom has to extend them.
+_SPARE = 1024
+
 
 class DigramIndex:
     def __init__(self, grammar: SlcfGrammar, n_edges=None, max_rank=None):
@@ -66,7 +74,10 @@ class DigramIndex:
         if n_edges is None:
             n_edges = grammar.grammar_size()
         self.bucket_limit = max(1, isqrt(max(1, n_edges)))
-        self.max_rank = max_rank
+        # The count from which a record is in the top list.
+        self._top_at = max(2, self.bucket_limit)
+        # A listed edge's rank(parent) + rank(child) is at most _bound.
+        self._bound = inf if max_rank is None else max_rank + 1
         # Symbol ids for packed keys.
         self._sid = {}
         # Per record.
@@ -74,7 +85,7 @@ class DigramIndex:
         self._head = []
         self._tail = []
         self.count = []
-        # Per arena node: the edge from its parent.
+        # Per arena node, and up to _SPARE more: the edge from its parent.
         n = len(grammar.arena)
         self._slot = [FREE] * n
         self._next = [END] * n
@@ -83,30 +94,8 @@ class DigramIndex:
         # count b; buckets[bucket_limit] is the top list.
         self.buckets = [dict() for _ in range(self.bucket_limit + 1)]
         self.top = self.buckets[self.bucket_limit]
+        # No bucket above the cursor holds a record.
         self.cursor = self.bucket_limit - 1
-
-    # -- placement -----------------------------------------------------------
-
-    def _requeue(self, r, old, new):
-        """Move record r from its place at count ``old`` to its place at
-        count ``new``; called only when one of the two is at least 2.
-
-        A record is placed only while it has two or more occurrences:
-        counts below bucket_limit in their bucket, larger ones in the top
-        list.  Records below two occurrences sit in no bucket.
-        """
-        limit = self.bucket_limit
-        if old >= 2:
-            if old >= limit and new >= limit:
-                return  # stays in the top list, whose order is irrelevant
-            del self.buckets[old if old < limit else limit][r]
-        if new >= 2:
-            if new < limit:
-                self.buckets[new][r] = None
-                if new > self.cursor:
-                    self.cursor = new
-            else:
-                self.top[r] = None
 
     # -- records ----------------------------------------------------------------
 
@@ -121,28 +110,31 @@ class DigramIndex:
     # -- list updates ------------------------------------------------------------
 
     def link(self, nodes):
-        """Append the parent edges of ``nodes`` to their digrams' lists.
+        """Append the parent edges of ``nodes`` to their digrams' lists and
+        place each record at its new count.
 
         The edge arrays first grow over nodes created since they were last
-        sized.  An edge whose digram exceeds the rank bound is not listed.
-        Nor is a cross-production edge (the node is a DAG-nonterminal
-        reference) with equal parent and resolved child symbol: overlapping
-        occurrence chains across a shared production cannot be maintained
-        consistently, so such digrams are never offered for replacement.
+        sized, with room to spare.  An edge whose digram exceeds the rank
+        bound is not listed.  Nor is a cross-production edge (the node is a
+        DAG-nonterminal reference) with equal parent and resolved child
+        symbol: overlapping occurrence chains across a shared production
+        cannot be maintained consistently, so such digrams are never offered
+        for replacement.
         """
-        g = self.g
-        ar = g.arena
+        ar = self.g.arena
         labels, parents, pindex = ar.labels, ar.parents, ar.pindex
-        grow = len(labels) - len(self._slot)
+        slot, nxt, prv = self._slot, self._next, self._prev
+        grow = len(labels) - len(slot)
         if grow > 0:
-            self._slot.extend([FREE] * grow)
-            self._next.extend([END] * grow)
-            self._prev.extend([END] * grow)
+            grow += _SPARE
+            slot += [FREE] * grow
+            nxt += [END] * grow
+            prv += [END] * grow
         sid = self._sid
         records = self.records
-        slot, nxt, prv = self._slot, self._next, self._prev
         head, tail, count = self._head, self._tail, self.count
-        bound = inf if self.max_rank is None else self.max_rank + 1
+        bound = self._bound
+        limit, buckets = self.bucket_limit, self.buckets
         v = None
         for c in nodes:
             if parents[c] != v:  # child edges share their parent's lookups
@@ -155,8 +147,8 @@ class DigramIndex:
                     p = self._intern(pl)
                 p <<= _BITS
             cl = labels[c]
-            if isinstance(cl, Nonterminal) and cl.is_dag:
-                cl = g.resolve_label(cl)
+            if cl.__class__ is Nonterminal and cl.is_dag:
+                cl = labels[cl.root]
                 if cl == pl:
                     continue
             if cl.rank > room:  # rank(p) + rank(c) > max_rank + 1
@@ -187,14 +179,24 @@ class DigramIndex:
             tail[r] = c
             n = count[r] + 1
             count[r] = n
-            if n >= 2:
-                self._requeue(r, n - 1, n)
+            if n < limit:
+                if n >= 2:
+                    if n > 2:
+                        del buckets[n - 1][r]
+                    buckets[n][r] = None
+                    if n > self.cursor:
+                        self.cursor = n
+            elif n == self._top_at:
+                if n > 2:
+                    del buckets[n - 1][r]
+                self.top[r] = None
 
     def unlink(self, nodes):
         """Drop the edges ending in ``nodes`` from their lists (those that
-        are on one)."""
+        are on one) and place each record at its new count."""
         slot, nxt, prv = self._slot, self._next, self._prev
         head, tail, count = self._head, self._tail, self.count
+        limit, buckets = self.bucket_limit, self.buckets
         for c in nodes:
             r = slot[c]
             if r == FREE:
@@ -212,8 +214,18 @@ class DigramIndex:
             slot[c] = FREE
             n = count[r]
             count[r] = n - 1
-            if n >= 2:
-                self._requeue(r, n, n - 1)
+            if n < 2:
+                continue
+            if n < limit:
+                del buckets[n][r]
+                if n > 2:
+                    buckets[n - 1][r] = None
+            elif n == self._top_at:
+                del self.top[r]
+                if n > 2:
+                    buckets[n - 1][r] = None
+                    if n - 1 > self.cursor:
+                        self.cursor = n - 1
 
     # -- priority queue --------------------------------------------------------------
 
@@ -269,28 +281,34 @@ def build_index(grammar: SlcfGrammar, n_edges=None, max_rank=None) -> DigramInde
     (unconditionally, except for the equal-symbol restriction).  Pattern
     right-hand sides created later by the replacer are never scanned, so a
     fresh production's internal digram does not count occurrences.
+
+    Nodes are linked in runs.  Only a node labeled like its parent has an
+    overlap check, and only that check reads the lists, so the pending run
+    is linked just before it.
     """
     idx = DigramIndex(grammar, n_edges, max_rank)
     g = grammar
     ar = g.arena
     labels, parents, pindex, children = ar.labels, ar.parents, ar.pindex, ar.children
     slot = idx._slot
+    run = []
     for nt in list(g.productions.values()):
         root = nt.root
         for v in ar.iter_postorder(root):
             if v == root:
                 continue
             lv = labels[v]
-            # A DAG reference is always linked (link applies the
-            # equal-symbol skip).  Otherwise, v itself already chosen as an
-            # occurrence of the same digram means (p, v) would overlap it;
-            # skip then.
-            if not (isinstance(lv, Nonterminal) and lv.is_dag):
+            # v itself already chosen as an occurrence of the same digram
+            # means (p, v) would overlap it; skip then.  A DAG reference
+            # has rank 0, so it never equals its parent's label.
+            if lv == labels[parents[v]]:
+                idx.link(run)
+                run.clear()
                 kids = children[v]
                 i = pindex[v]
                 if (i <= len(kids) and slot[kids[i - 1]] != FREE
-                        and lv == labels[parents[v]]
                         and g.resolve_label(labels[kids[i - 1]]) == lv):
                     continue
-            idx.link((v,))
+            run.append(v)
+    idx.link(run)
     return idx

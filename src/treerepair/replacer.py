@@ -32,31 +32,37 @@ def pattern_tree(g: SlcfGrammar, parent, index, child):
 
 
 def _split_shared(g: SlcfGrammar, X):
-    """Flatten a multiply-referenced DAG production to depth 1.
+    """Flatten a multiply-referenced DAG production to depth 1, and return
+    fresh references to the productions its root's children now are.
 
     Each child of its root that is not a DAG reference already is shared
     in place: it becomes a reference to a fresh rank-0 DAG production that
     holds its subtree.  Digram keys of the root's edges are unchanged
     because the fresh references resolve to the labels the children had.
-    Idempotent: a second call finds only DAG references.
+    The split is idempotent: a later call finds only DAG references, and
+    only makes the fresh references.
     """
     ar = g.arena
+    refs = []
     for c in ar.children[X.root]:
         lc = ar.labels[c]
-        if not (isinstance(lc, Nonterminal) and lc.is_dag):
-            g.share(c)
+        if not (lc.__class__ is Nonterminal and lc.is_dag):
+            lc = g.share(c)
+        refs.append(g.new_node(lc))
+    return refs
 
 
 def replace_occurrence(g: SlcfGrammar, idx: DigramIndex, v, j, A):
     """Rewrite the single occurrence at (v, j) to the nonterminal A.
 
-    Before any label or structure change, the edges the rewrite absorbs
-    leave the index: the edges into v (its parent edge, or the references
-    to its production when v is a rhs root), v's child edges and those of
-    the vanishing child w.  After it, the edges into v and v's new child
-    edges are listed without an overlap re-check.  Entries of one digram
-    may overlap for a while; that is harmless, as rewriting either one
-    unlinks the other before it could be rewritten too.
+    Before any label or structure change, one ``unlink`` call drops the
+    edges the rewrite absorbs, in this order: the edges into v (its parent
+    edge, or the references to its production when v is a rhs root), v's
+    child edges and those of the vanishing child w.  After it, one
+    ``link`` call lists the edges into v and then v's new child edges,
+    without an overlap re-check.  Entries of one digram may overlap for a
+    while; that is harmless, as rewriting either one unlinks the other
+    before it could be rewritten too.
     """
     ar = g.arena
     children = ar.children
@@ -64,24 +70,20 @@ def replace_occurrence(g: SlcfGrammar, idx: DigramIndex, v, j, A):
     w = kids[j - 1]
     lw = ar.labels[w]
     inner = children[w]
-    if isinstance(lw, Nonterminal) and lw.is_dag:
+    if lw.__class__ is Nonterminal and lw.is_dag:
         if len(lw.refs) > 1:
-            _split_shared(g, lw)
-            inner = [g.new_node(ar.labels[c]) for c in children[lw.root]]
+            inner = _split_shared(g, lw)
         else:
             # Splice first: w takes the rhs root's children, whose edges go.
             g.eliminate(lw)
             inner = children[w]
-    into = (v,) if ar.parents[v] != -1 else g.root_to_prod[v].refs
-    idx.unlink(into)
-    idx.unlink(kids)
-    idx.unlink(children[w])
+    into = [v] if ar.parents[v] != -1 else list(g.root_to_prod[v].refs)
+    idx.unlink(into + kids + children[w])
     kids[j - 1:j] = inner
     g.relabel(v, A)
     g.kill_node(w)
     ar.set_children(v, kids)
-    idx.link(into)
-    idx.link(kids)
+    idx.link(into + kids)
 
 
 def run_replacement_step(g: SlcfGrammar, idx: DigramIndex):

@@ -153,21 +153,21 @@ class SlcfGrammar:
     def relabel(self, v, label):
         labels = self.arena.labels
         old = labels[v]
-        if isinstance(old, Nonterminal):
+        if old.__class__ is Nonterminal:
             del old.refs[v]
         labels[v] = label
-        if isinstance(label, Nonterminal):
+        if label.__class__ is Nonterminal:
             label.refs[v] = None
 
     def kill_node(self, v):
         label = self.arena.labels[v]
-        if isinstance(label, Nonterminal):
+        if label.__class__ is Nonterminal:
             del label.refs[v]
         self.arena.kill(v)
 
     def resolve_label(self, label):
         """Digram-key view of a label: DAG references show their rhs root."""
-        if isinstance(label, Nonterminal) and label.is_dag:
+        if label.__class__ is Nonterminal and label.is_dag:
             return self.arena.labels[label.root]
         return label
 

@@ -220,6 +220,21 @@ def check_index(idx, max_rank):
     assert not any(idx.buckets[b] for b in range(idx.cursor + 1, limit))
 
 
+def run_checked(g, idx, max_rank):
+    """``run_replacement_step`` with ``check_index`` before every pop, and
+    every popped record checked to have two or more occurrences."""
+    pop = idx.pop_most_frequent
+
+    def checked_pop():
+        check_index(idx, max_rank)
+        r = pop()
+        assert r is None or idx.count[r] >= 2, (r, idx.count[r])
+        return r
+
+    idx.pop_most_frequent = checked_pop
+    return run_replacement_step(g, idx)
+
+
 class TestRunInvariants:
     @pytest.mark.parametrize("max_rank", [2, None])
     def test_index_is_consistent_after_every_round(self, max_rank):
@@ -229,13 +244,22 @@ class TestRunInvariants:
         for seed in range(40):
             g = build_dag_grammar(parse_xml(random_xml(seed + 300, 300)))
             idx = build_index(g, max_rank=max_rank)
-            pop = idx.pop_most_frequent
+            rounds += len(run_checked(g, idx, max_rank))
+            validate_grammar(g)
+        assert rounds > 250
 
-            def checked_pop():
-                check_index(idx, max_rank)
-                return pop()
-
-            idx.pop_most_frequent = checked_pop
-            rounds += len(run_replacement_step(g, idx))
+    @pytest.mark.parametrize("n_edges, limit", [(1, 1), (4, 2), (9, 3)])
+    def test_placement_at_the_smallest_bucket_limits(self, n_edges, limit):
+        # The top list starts at count 2, 2 and 3: a record crosses from no
+        # place to the top list, or from a bucket to it, at the boundary.
+        # At limit 1 every placed record is in the top list, so one whose
+        # count falls below two must leave it, or a pop hands it out again
+        # and the run never ends.
+        rounds = 0
+        for seed in range(40):
+            g = build_dag_grammar(parse_xml(random_xml(seed + 300, 300)))
+            idx = build_index(g, n_edges=n_edges)
+            assert idx.bucket_limit == limit
+            rounds += len(run_checked(g, idx, None))
             validate_grammar(g)
         assert rounds > 250

@@ -1,0 +1,152 @@
+"""Time the compress stages of two source trees, A/B, in child processes.
+
+Usage::
+
+    python tools/stage_ab.py OLD_SRC NEW_SRC [--pairs N] [--workload NAME]
+
+Each ``SRC`` is a directory holding the ``treerepair`` package, such as
+the ``src`` directory of a checkout.  The script makes the input of each
+bench workload once, as ``bench/run.py`` does with seed 1 (the 1 MB
+records document of ``records-1mb``, the depth-12 mtree document of
+``M-d12-rank-inf``), and takes the workload's flags from there.  A pair runs
+one child interpreter with ``PYTHONPATH=OLD_SRC`` and one with
+``PYTHONPATH=NEW_SRC``, the first side alternating from pair to pair.
+Each child compresses each input once through the public stage functions,
+with the same arguments as ``pipeline.compress_xml_bytes``, and reports
+the wall time of parse, share, index, replace, prune and encode, and a
+digest of the stream.
+
+It prints, per workload and stage and for their sum, the minimum and
+median seconds of each side and in how many pairs the new side was lower,
+and whether the two sides wrote the same streams.  It exits 1 if they did
+not.  It needs no network and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
+STAGES = ("parse", "share", "index", "replace", "prune", "encode")
+
+
+def bench_workloads():
+    """``bench/run.py``'s workload table, and its input maker."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import inputs
+    from run import WORKLOADS
+
+    return WORKLOADS, inputs
+
+
+def make_jobs(workloads, inputs, names, directory):
+    """Write the inputs of the workloads ``names``; returns name ->
+    (input path, max_rank, optimize)."""
+    jobs = {}
+    for name in names:
+        spec = workloads[name]
+        kind, size = spec["source"]
+        data = inputs.records(SEED, size) if kind == "records" else inputs.mtree(size)
+        path = os.path.join(directory, name + ".xml")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        max_rank = None if spec["max_rank"] == "inf" else int(spec["max_rank"])
+        jobs[name] = (path, max_rank, spec["optimize"])
+    return jobs
+
+
+def worker(jobs):
+    """Print, as JSON, each job's stage seconds and stream digest."""
+    from treerepair import (EDGES_THRESHOLD, FILESIZE_THRESHOLD, build_dag_grammar,
+                            build_index, encode, parse_xml, prune,
+                            run_replacement_step)
+
+    thresholds = {"edges": EDGES_THRESHOLD, "filesize": FILESIZE_THRESHOLD}
+    out = {}
+    for name, (path, max_rank, optimize) in jobs.items():
+        with open(path, "rb") as fh:
+            data = fh.read()
+        times = []
+        clock = time.perf_counter
+
+        def stage(fn, *args, **kwargs):
+            t0 = clock()
+            result = fn(*args, **kwargs)
+            times.append(clock() - t0)
+            return result
+
+        bt = stage(parse_xml, data)
+        n_edges = bt.edge_count
+        g = stage(build_dag_grammar, bt)
+        idx = stage(build_index, g, n_edges=n_edges, max_rank=max_rank)
+        stage(run_replacement_step, g, idx)
+        stage(prune, g, thresholds[optimize])
+        stream = stage(encode, g)
+        out[name] = {"s": times, "sha256": hashlib.sha256(stream).hexdigest()}
+    print(json.dumps(out))
+
+
+def run_side(src, jobs):
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker", json.dumps(jobs)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+    if proc.returncode:
+        sys.exit("%s: worker failed\n%s" % (src, proc.stderr))
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def report(runs, names):
+    """Print the table; returns True if both sides wrote the same streams."""
+    print("%-15s %-8s %9s %9s %9s %9s %6s"
+          % ("workload", "stage", "old min", "old med", "new min", "new med", "lower"))
+    same = True
+    for name in names:
+        rows = {side: [r[name]["s"] + [sum(r[name]["s"])] for r in runs[side]]
+                for side in ("old", "new")}
+        for k, stage in enumerate(STAGES + ("sum",)):
+            old = [r[k] for r in rows["old"]]
+            new = [r[k] for r in rows["new"]]
+            lower = sum(n < o for o, n in zip(old, new))
+            print("%-15s %-8s %9.4f %9.4f %9.4f %9.4f %3d/%-2d"
+                  % (name, stage, min(old), statistics.median(old),
+                     min(new), statistics.median(new), lower, len(old)))
+        digests = {r[name]["sha256"] for side in runs.values() for r in side}
+        same = same and len(digests) == 1
+    print("streams identical" if same else "streams DIFFERENT")
+    return same
+
+
+def main(argv=None):
+    workloads, inputs = bench_workloads()
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old_src")
+    ap.add_argument("new_src")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", choices=sorted(workloads) + ["all"], default="all")
+    args = ap.parse_args(argv)
+    names = sorted(workloads) if args.workload == "all" else [args.workload]
+    runs = {"old": [], "new": []}
+    with tempfile.TemporaryDirectory() as directory:
+        jobs = make_jobs(workloads, inputs, names, directory)
+        for i in range(args.pairs):
+            sides = [("old", args.old_src), ("new", args.new_src)]
+            for side, src in sides[::-1] if i % 2 else sides:
+                runs[side].append(run_side(src, jobs))
+    return 0 if report(runs, names) else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        worker(json.loads(sys.argv[2]))
+    else:
+        sys.exit(main())
