@@ -73,40 +73,31 @@ def _tree_to_nested_xml(bt) -> bytes:
 
 
 def _run(args) -> int:
-    if args.command == "compress":
+    if args.command == "gen":
+        gen = {"perfect": fixtures.gen_perfect_binary, "M": fixtures.gen_M,
+               "U": fixtures.gen_U}[args.family]
+        out = _tree_to_nested_xml(gen(args.param))
+    else:
         with open(args.input, "rb") as fh:
             data = fh.read()
-        out = compress_xml_bytes(data, max_rank=args.max_rank,
+        if args.command == "stats":
+            stats = gather_stats(data, max_rank=args.max_rank,
                                  optimize=args.optimize,
                                  use_dag=not args.no_dag)
-        with open(args.output, "wb") as fh:
-            fh.write(out)
-    elif args.command == "decompress":
-        with open(args.input, "rb") as fh:
-            data = fh.read()
-        out = decompress_bytes(data)
-        with open(args.output, "wb") as fh:
-            fh.write(out)
-    elif args.command == "stats":
-        with open(args.input, "rb") as fh:
-            data = fh.read()
-        stats = gather_stats(data, max_rank=args.max_rank,
-                             optimize=args.optimize,
-                             use_dag=not args.no_dag)
-        for key, value in stats.items():
-            if isinstance(value, float):
-                print("%s: %.3f" % (key, value))
-            else:
-                print("%s: %d" % (key, value))
-    else:
-        if args.family == "perfect":
-            bt = fixtures.gen_perfect_binary(args.param)
-        elif args.family == "M":
-            bt = fixtures.gen_M(args.param)
+            for key, value in stats.items():
+                if isinstance(value, float):
+                    print("%s: %.3f" % (key, value))
+                else:
+                    print("%s: %d" % (key, value))
+            return 0
+        if args.command == "compress":
+            out = compress_xml_bytes(data, max_rank=args.max_rank,
+                                     optimize=args.optimize,
+                                     use_dag=not args.no_dag)
         else:
-            bt = fixtures.gen_U(args.param)
-        with open(args.output, "wb") as fh:
-            fh.write(_tree_to_nested_xml(bt))
+            out = decompress_bytes(data)
+    with open(args.output, "wb") as fh:
+        fh.write(out)
     return 0
 
 

@@ -243,20 +243,17 @@ class SlcfGrammar:
 
         The argument subtrees are moved, not copied.  Root is never a
         parameter leaf itself: a bare-parameter rhs is illegal, and the
-        decoder rejects one.
+        decoder rejects one.  Postorder meets the leaves left to right,
+        as preorder does, and lists every node before the first move.
         """
         t = self.arena
+        labels = t.labels
         n = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            label = t.labels[v]
-            if label is PARAMETER:
+        for v in t.iter_postorder(root):
+            if labels[v] is PARAMETER:
                 t.put(t.parents[v], t.pindex[v], args[n])
                 n += 1
                 t.kill(v)
-                continue
-            stack.extend(reversed(t.children[v]))
         assert n == len(args)
 
     def eliminate(self, nt):
@@ -276,14 +273,11 @@ class SlcfGrammar:
         del self.root_to_prod[root]
         label = t.labels[root]
         ref_nodes = list(nt.refs)
-        nt.refs.clear()  # the loop relabels its nodes directly
         if len(ref_nodes) > 1:
             below_root = t.preorder(root)[1:]
         for k, r in enumerate(ref_nodes):
             args = t.children[r]
-            t.labels[r] = label
-            if isinstance(label, Nonterminal):
-                label.refs[r] = None
+            self.relabel(r, label)
             if k == len(ref_nodes) - 1:
                 kids = t.children[root]
                 t.children[root] = []  # kill clears the list in place

@@ -100,20 +100,17 @@ def huffman_code_lengths(freqs) -> dict:
     leaf = 0      # front of the leaf queue
     merged = n    # front of the merged queue; it ends before node k
     for k in range(n, 2 * n - 1):
-        if leaf < n and (merged == k or weight[leaf] <= weight[merged]):
-            a = leaf
-            leaf += 1
-        else:
-            a = merged
-            merged += 1
-        if leaf < n and (merged == k or weight[leaf] <= weight[merged]):
-            b = leaf
-            leaf += 1
-        else:
-            b = merged
-            merged += 1
-        parent[a] = parent[b] = k
-        weight.append(weight[a] + weight[b])
+        total = 0
+        for _ in (0, 1):  # pop the two least items
+            if leaf < n and (merged == k or weight[leaf] <= weight[merged]):
+                a = leaf
+                leaf += 1
+            else:
+                a = merged
+                merged += 1
+            parent[a] = k
+            total += weight[a]
+        weight.append(total)
     depth = [0] * (2 * n - 1)
     for k in range(2 * n - 3, -1, -1):
         depth[k] = depth[parent[k]] + 1
@@ -181,21 +178,25 @@ _UNASSIGNED = (None, math.inf)
 
 
 class CanonicalDecoder:
-    """Table-driven decoder for a canonical code given its length table.
+    """Decoder for a canonical code given its length table.
 
-    ``read`` peeks ``avail = min(max_len, bits left)`` bits and looks their
-    first ``w = min(max_len, LOOKUP_BITS)`` bits up in a list of ``2**w``
-    slots, zero-filled to w bits when fewer are left.  A code word of
-    length l <= w fills the ``2**(w-l)`` slots that start with it with
-    ``(symbol, l)``, so by Kraft the fill costs at most ``2**w`` writes
-    whatever the lengths.  What the lookup cannot settle (code words longer
-    than w, prefixes no code word starts with in an incomplete code, code
-    words cut off by the end of the input) is found by walking the
-    canonical first code of each length from w+1 to avail.  Either way the
-    reader ends where a bit-by-bit walk would, and raises the same errors.
-    ``read_block`` decodes a run of code words with no call per code word,
-    and hands what the lookup cannot settle to ``read``: it reads what
-    ``read`` calls would.
+    ``read`` decodes one code word by the canonical walk (Moffat &
+    Turpin): it peeks ``avail = min(max_len, bits left)`` bits and tries
+    lengths 1, 2, .. avail in turn, taking the first whose prefix lies in
+    that length's run of code words, which starts at its first code.
+    Canonical code words of one length follow those of all shorter
+    lengths, so at most one length matches.  No match is an invalid code
+    word, or a truncated one when fewer than ``max_len`` bits are left.
+
+    ``read_block`` decodes a run of code words with no call per code
+    word, by a table lookup: a list of ``2**w`` slots, ``w = min(max_len,
+    LOOKUP_BITS)``, where a code word of length l <= w fills the
+    ``2**(w-l)`` slots that start with it with ``(symbol, l)``, so by
+    Kraft the fill costs at most ``2**w`` writes whatever the lengths.
+    What the lookup cannot settle (code words longer than w, prefixes no
+    code word starts with in an incomplete code, fewer than w bits left)
+    it hands to ``read``.  Either way the reader ends where a bit-by-bit
+    walk would, and raises the same errors.
     """
 
     def __init__(self, lengths):
@@ -219,17 +220,7 @@ class CanonicalDecoder:
     def read(self, reader: BitReader):
         avail = min(self.max_len, reader.remaining_bits)
         bits = reader.peek(avail)
-        width = self._width
-        if avail >= width:
-            sym, length = self._lookup[bits >> (avail - width)]
-        else:
-            sym, length = self._lookup[bits << (width - avail)]
-        if length <= avail:
-            reader.skip(length)
-            return sym
-        # the lookup has ruled out every code word of up to min(w, avail)
-        # bits: it found none, or one longer than the input left
-        for l in range(min(width, avail) + 1, avail + 1):
+        for l in range(1, avail + 1):
             d = (bits >> (avail - l)) - self._first[l]
             if 0 <= d < len(self._syms[l]):
                 reader.skip(l)

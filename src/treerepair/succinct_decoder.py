@@ -6,9 +6,13 @@ reported as :class:`DecodeError`; no input may crash or hang the decoder.
 Each characteristic block, the names section and each production body is
 one ``CanonicalDecoder.read_block`` whose balance ends the block: ids count
 -1 against the block's count, ETX bytes -1 against the terminal count, body
-ids rank - 1 against 1.  A body's ids are its preorder, from which
-``SlcfGrammar.new_tree`` makes its nodes in one pass.  Faults get the
-messages and the order a read per value would give them.
+ids rank - 1 against 1.  So are a length table's run-length tokens up to
+each run indicator, every length counting -1 against the table's size.
+The decoder calls ``CanonicalDecoder.read`` only for the five lone counts:
+the terminal and production counts and the three characteristic block
+counts.  A body's ids are its preorder, from which ``SlcfGrammar.new_tree``
+makes its nodes in one pass.  Faults get the messages and the order a read
+per value would give them.
 
 The names section makes the terminal alphabet in a few C-level passes
 when its last name is complete: one UTF-8 decode of the whole section,
@@ -52,18 +56,23 @@ def run_length_decode(reader, super_decoder, n, expected) -> dict:
     table size the stream claims.
     """
     lengths = {}
+    deltas = defaultdict(lambda: -1)  # every value counts -1 against the table
     i = 0
     last = None
     first_unit = True
     while i < expected:
-        tok = super_decoder.read(reader)
-        if tok <= n:
-            if tok:
-                lengths[i] = tok
+        values = []
+        tok = super_decoder.read_block(reader, values, deltas, expected - i, n)
+        for value in values:
+            if value:
+                lengths[i] = value
             i += 1
-            last = tok
+        if values:
+            last = values[-1]
             first_unit = True
-        elif tok == n + 1:
+        if tok is None:
+            break
+        if tok == n + 1:
             if last is None:
                 raise DecodeError("run continuation without a sample value")
             k = reader.read(2) + (3 if first_unit else 4)
@@ -75,11 +84,9 @@ def run_length_decode(reader, super_decoder, n, expected) -> dict:
         elif tok == n + 2:
             i += reader.read(3) + 4
             last = None
-            first_unit = True
         else:
             i += reader.read(7) + 12
             last = None
-            first_unit = True
     if i != expected:
         raise DecodeError("run-length data overruns its table")
     return lengths

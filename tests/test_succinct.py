@@ -13,7 +13,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from treerepair import (compress_tree, compress_xml_bytes, decode, decompress_bytes, encode,
                         parse_xml, succinct_coder, xml_tree)
-from treerepair.fixtures import gen_M
+from treerepair.fixtures import gen_M, gen_U
 from treerepair.pipeline import build_grammar
 from treerepair.succinct_coder import (
     DecodeError,
@@ -511,6 +511,20 @@ class TestDecodeErrorPoints:
             decode(blob[:len(blob) // 2])
 
 
+def decode_calls(data, module, func):
+    """Calls of ``module``'s function ``func`` while ``decode`` reads ``data``."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        decode(data)
+    except DecodeError:
+        pass
+    finally:
+        profiler.disable()
+    return sum(calls for (path, _, name), (_, calls, *_) in pstats.Stats(profiler).stats.items()
+               if path == module.__file__ and name == func)
+
+
 class TestNameSectionProtocol:
     """Call counts, not wall time: a clean names section is read without a
     ``TerminalSymbol`` construction per name, a faulty one by the loop that
@@ -518,16 +532,7 @@ class TestNameSectionProtocol:
 
     @staticmethod
     def symbol_constructions(data):
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            decode(data)
-        except DecodeError:
-            pass
-        finally:
-            profiler.disable()
-        return sum(calls for (path, _, func), (_, calls, *_) in pstats.Stats(profiler).stats.items()
-                   if path == xml_tree.__file__ and func == "__new__")
+        return decode_calls(data, xml_tree, "__new__")
 
     def test_a_clean_section_constructs_no_symbol(self):
         blob = compress_tree(gen_M(3))  # 256 distinct leaf names
@@ -557,6 +562,18 @@ class TestNameSectionProtocol:
 
         # a cut last name hands the same complete names to the loop
         assert outcome(section) == outcome(section + b"a")
+
+
+class TestCodeWordProtocol:
+    """Call counts, not wall time: ``decode`` reads every run of code
+    words, the length tables' tokens included, with ``read_block``.  Only
+    the five lone counts (terminals, productions and the three
+    characteristic blocks) go through ``read``."""
+
+    @pytest.mark.parametrize("tree, max_rank", [(gen_M(3), None), (gen_U(10), 4)])
+    def test_decode_reads_five_lone_code_words(self, tree, max_rank):
+        blob = compress_tree(tree, max_rank=max_rank)
+        assert decode_calls(blob, succinct_coder, "read") == 5
 
 
 class TestIdAssignment:

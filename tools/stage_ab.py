@@ -1,4 +1,5 @@
-"""Time the compress stages of two source trees, A/B, in child processes.
+"""Time the compress and decompress stages of two source trees, A/B, in
+child processes.
 
 Usage::
 
@@ -12,14 +13,16 @@ records document of ``records-1mb``, the depth-12 mtree document of
 one child interpreter with ``PYTHONPATH=OLD_SRC`` and one with
 ``PYTHONPATH=NEW_SRC``, the first side alternating from pair to pair.
 Each child compresses each input once through the public stage functions,
-with the same arguments as ``pipeline.compress_xml_bytes``, and reports
-the wall time of parse, share, index, replace, prune and encode, and a
-digest of the stream.
+with the same arguments as ``pipeline.compress_xml_bytes``, then
+decompresses its own stream as ``pipeline.decompress_bytes`` does.  It
+reports the wall time of parse, share, index, replace, prune and encode,
+of decode and write_xml, and a digest of the stream and the XML.
 
-It prints, per workload and stage and for their sum, the minimum and
-median seconds of each side and in how many pairs the new side was lower,
-and whether the two sides wrote the same streams.  It exits 1 if they did
-not.  It needs no network and is not part of the test suite.
+It prints, per workload and stage and for the compress and the
+decompress sums, the minimum and median seconds of each side and in how
+many pairs the new side was lower, and whether the two sides wrote the
+same streams and XML.  It exits 1 if they did not.  It needs no network
+and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
-STAGES = ("parse", "share", "index", "replace", "prune", "encode")
+COMPRESS = ("parse", "share", "index", "replace", "prune", "encode")
+DECOMPRESS = ("decode", "write_xml")
 
 
 def bench_workloads():
@@ -65,9 +69,9 @@ def make_jobs(workloads, inputs, names, directory):
 
 
 def worker(jobs):
-    """Print, as JSON, each job's stage seconds and stream digest."""
+    """Print, as JSON, each job's stage seconds and output digest."""
     from treerepair import (EDGES_THRESHOLD, FILESIZE_THRESHOLD, build_dag_grammar,
-                            build_index, encode, parse_xml, prune,
+                            build_index, decode, encode, parse_xml, prune,
                             run_replacement_step)
 
     thresholds = {"edges": EDGES_THRESHOLD, "filesize": FILESIZE_THRESHOLD}
@@ -91,7 +95,9 @@ def worker(jobs):
         stage(run_replacement_step, g, idx)
         stage(prune, g, thresholds[optimize])
         stream = stage(encode, g)
-        out[name] = {"s": times, "sha256": hashlib.sha256(stream).hexdigest()}
+        decoded = stage(decode, stream)
+        xml = stage(decoded.write_xml)
+        out[name] = {"s": times, "sha256": hashlib.sha256(stream + xml).hexdigest()}
     print(json.dumps(out))
 
 
@@ -106,23 +112,25 @@ def run_side(src, jobs):
 
 
 def report(runs, names):
-    """Print the table; returns True if both sides wrote the same streams."""
-    print("%-15s %-8s %9s %9s %9s %9s %6s"
+    """Print the table; returns True if both sides wrote the same outputs."""
+    print("%-15s %-10s %9s %9s %9s %9s %6s"
           % ("workload", "stage", "old min", "old med", "new min", "new med", "lower"))
     same = True
+    cut = len(COMPRESS)
     for name in names:
-        rows = {side: [r[name]["s"] + [sum(r[name]["s"])] for r in runs[side]]
+        rows = {side: [s[:cut] + [sum(s[:cut])] + s[cut:] + [sum(s[cut:])]
+                       for s in (r[name]["s"] for r in runs[side])]
                 for side in ("old", "new")}
-        for k, stage in enumerate(STAGES + ("sum",)):
+        for k, stage in enumerate(COMPRESS + ("compress",) + DECOMPRESS + ("decompress",)):
             old = [r[k] for r in rows["old"]]
             new = [r[k] for r in rows["new"]]
             lower = sum(n < o for o, n in zip(old, new))
-            print("%-15s %-8s %9.4f %9.4f %9.4f %9.4f %3d/%-2d"
+            print("%-15s %-10s %9.4f %9.4f %9.4f %9.4f %3d/%-2d"
                   % (name, stage, min(old), statistics.median(old),
                      min(new), statistics.median(new), lower, len(old)))
         digests = {r[name]["sha256"] for side in runs.values() for r in side}
         same = same and len(digests) == 1
-    print("streams identical" if same else "streams DIFFERENT")
+    print("outputs identical" if same else "outputs DIFFERENT")
     return same
 
 
