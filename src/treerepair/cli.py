@@ -12,13 +12,14 @@ import sys
 from . import fixtures
 from .xml_tree import ParseError, UnsupportedInputError
 from .succinct_coder import DecodeError, EncodeError
-from .pipeline import compress_xml_bytes, decompress_bytes, gather_stats
+from .pipeline import (OPTIMIZE_THRESHOLDS, compress_xml_bytes, decompress_bytes,
+                       gather_stats)
 
 
 def _add_compress_flags(sub):
     sub.add_argument("-max_rank", type=int, default=4, metavar="K",
                      help="largest pattern rank introduced (default 4)")
-    sub.add_argument("-optimize", choices=("edges", "filesize"),
+    sub.add_argument("-optimize", choices=tuple(OPTIMIZE_THRESHOLDS),
                      default="filesize",
                      help="pruning objective (default filesize)")
     sub.add_argument("-no_dag", action="store_true",

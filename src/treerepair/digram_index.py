@@ -12,16 +12,17 @@ one digram share the child index.
 
 Records are flat as well.  A record is an integer id, equal to its
 creation sequence number, into per-record arrays (list head and tail,
-``count``).  ``records`` maps a digram key to its id; the key is one
-integer packed from the index's own small ids of the two symbols and the
-child index, so no record holds an object the cyclic garbage collector
-has to track.  Records exist only for digrams within the rank bound: an
+``count``).  Records exist only for digrams within the rank bound: an
 edge whose digram would need a pattern of larger rank is never listed,
-so it gets no record.  Records are never dropped, so a digram that loses
-every occurrence and gains one again keeps its id and with it its place
-in tie-breaking.  ``pop_most_frequent`` hands out record ids;
-``digram(r)`` and ``head(r)`` read a record's digram and its oldest
-occurrence off the head edge of its list.
+so it gets no record.  ``records`` maps a digram key, the plain tuple
+(parent symbol, child index, resolved child symbol), to its record id,
+and lives for one round: a pop that hands out a record empties it.  That is
+sound because between two pops ``link`` lists only edges with the popped
+round's new nonterminal at one end, so no key made before a pop is
+looked up after it.  Ids, lists, counts and placement outlive the keys,
+so a record keeps its place in tie-breaking.  ``pop_most_frequent``
+hands out record ids; ``digram(r)`` and ``head(r)`` read a record's
+digram and its oldest occurrence off the head edge of its list.
 
 Only two methods change the lists: ``link(nodes)`` lists the parent edge
 of each given node and ``unlink(nodes)`` drops it.  Each places the
@@ -36,8 +37,14 @@ square root).  A record's count places it: a count of 2 to
 ``bucket_limit`` - 1 in the bucket of that count, a count of at least
 max(2, ``bucket_limit``) in the top list, a count below two nowhere, so
 ``pop_most_frequent`` never hands out a record with fewer than two
-occurrences.  The maximum frequency only decreases over a replacement
-run, which makes the scan cursor amortized cheap.
+occurrences.  No bucket above the scan cursor holds a record: a pop
+that finds the top list empty lowers the cursor to the highest non-empty
+bucket, and ``link`` raises it to a bucket it places a record in above
+it.  A record enters the top list only from bucket ``bucket_limit`` - 1
+(or from no place), and the cursor falls only while the top list is
+empty, so while the top list holds a record the cursor is at least
+``bucket_limit`` - 1: a record that ``unlink`` drops out of the top list
+lands at or below it.
 
 In a DAG-shaped grammar a reference to a rank-0 DAG nonterminal counts as
 an occurrence of the digram formed with the root label of its production
@@ -58,11 +65,6 @@ from .slcf_grammar import Nonterminal, SlcfGrammar
 FREE = -1  # the edge is on no occurrence list
 END = -2   # no previous / next occurrence (list terminator)
 
-# Field width of a packed digram key: parent id, child id, child index.
-# Symbol ids are checked against it; a child index (at most a rank) is far
-# below it.
-_BITS = 32
-
 # The edge arrays grow by this many entries more than the arena needs, so
 # that a rewrite that makes a node or two seldom has to extend them.
 _SPARE = 1024
@@ -78,10 +80,8 @@ class DigramIndex:
         self._top_at = max(2, self.bucket_limit)
         # A listed edge's rank(parent) + rank(child) is at most _bound.
         self._bound = inf if max_rank is None else max_rank + 1
-        # Symbol ids for packed keys.
-        self._sid = {}
-        # Per record.
-        self.records = {}  # packed digram key -> record id
+        # Per record; keys of this round's digrams only.
+        self.records = {}  # (parent, index, resolved child) -> record id
         self._head = []
         self._tail = []
         self.count = []
@@ -97,21 +97,17 @@ class DigramIndex:
         # No bucket above the cursor holds a record.
         self.cursor = self.bucket_limit - 1
 
-    # -- records ----------------------------------------------------------------
-
-    def _intern(self, sym):
-        """Id of a symbol, pre-shifted to its child field in a key."""
-        s = len(self._sid)
-        assert s < 1 << _BITS, "symbol ids exhausted"
-        s <<= _BITS
-        self._sid[sym] = s
-        return s
-
     # -- list updates ------------------------------------------------------------
 
     def link(self, nodes):
         """Append the parent edges of ``nodes`` to their digrams' lists and
         place each record at its new count.
+
+        Between two pops, the given edges must each have the popped round's
+        new nonterminal at one end (parent or resolved child): ``records``
+        holds only this round's keys, so an edge of an older digram would
+        get a second record for it.  ``build_index`` lists before the first
+        pop and is bound by nothing.
 
         The edge arrays first grow over nodes created since they were last
         sized, with room to spare.  An edge whose digram exceeds the rank
@@ -130,7 +126,6 @@ class DigramIndex:
             slot += [FREE] * grow
             nxt += [END] * grow
             prv += [END] * grow
-        sid = self._sid
         records = self.records
         head, tail, count = self._head, self._tail, self.count
         bound = self._bound
@@ -142,10 +137,6 @@ class DigramIndex:
                 assert v != -1, "edge without a parent"
                 pl = labels[v]
                 room = bound - pl.rank
-                p = sid.get(pl)
-                if p is None:
-                    p = self._intern(pl)
-                p <<= _BITS
             cl = labels[c]
             if cl.__class__ is Nonterminal and cl.is_dag:
                 cl = labels[cl.root]
@@ -153,10 +144,7 @@ class DigramIndex:
                     continue
             if cl.rank > room:  # rank(p) + rank(c) > max_rank + 1
                 continue
-            q = sid.get(cl)
-            if q is None:
-                q = self._intern(cl)
-            key = p | q | pindex[c]
+            key = (pl, pindex[c], cl)
             assert slot[c] == FREE, "edge already on a list"
             r = records.get(key)
             if r is None:
@@ -224,8 +212,6 @@ class DigramIndex:
                 del self.top[r]
                 if n > 2:
                     buckets[n - 1][r] = None
-                    if n - 1 > self.cursor:
-                        self.cursor = n - 1
 
     # -- priority queue --------------------------------------------------------------
 
@@ -236,7 +222,8 @@ class DigramIndex:
         occurrences, and every record is within the rank bound, so nothing
         found there is skipped.  Among top-list digrams the most frequent
         wins, ties going to the earliest created (smallest id); inside a
-        bucket the longest-resident entry is taken.
+        bucket the longest-resident entry is taken.  A pop that hands out a
+        record starts a round, so it empties ``records``.
         """
         count = self.count
         best = None
@@ -244,17 +231,16 @@ class DigramIndex:
             if best is None or count[r] > count[best] or (
                     count[r] == count[best] and r < best):
                 best = r
-        if best is not None:
-            return best
-        b = min(self.cursor, self.bucket_limit - 1)
-        while b >= 2:
-            bucket = self.buckets[b]
-            if bucket:
-                self.cursor = b
-                return next(iter(bucket))
-            b -= 1
-        self.cursor = 1
-        return None
+        if best is None:
+            b = min(self.cursor, self.bucket_limit - 1)
+            while b >= 2 and not self.buckets[b]:
+                b -= 1
+            self.cursor = max(b, 1)
+            if b < 2:
+                return None
+            best = next(iter(self.buckets[b]))
+        self.records.clear()
+        return best
 
     # -- reading records ---------------------------------------------------------------
 

@@ -129,7 +129,7 @@ def max_nonoverlapping(tree, root, parent_sym, index, child_sym):
 def occurrence_nodes(idx, parent, index, child):
     """Parent nodes of a digram's listed occurrences in a DigramIndex,
     oldest first; the record is the one whose head edge has the digram."""
-    for r in idx.records.values():
+    for r in range(len(idx.count)):
         if idx.count[r] and idx.digram(r) == (parent, index, child):
             out = []
             c = idx._head[r]

@@ -4,8 +4,8 @@ import pytest
 
 from treerepair import (ChildrenCharacteristic, build_dag_grammar, build_index,
                         parse_xml, run_replacement_step)
-from treerepair.digram_index import _BITS, END, FREE
-from treerepair.fixtures import gen_perfect_binary
+from treerepair.digram_index import END, FREE
+from treerepair.fixtures import gen_M, gen_perfect_binary
 from treerepair.replacer import pattern_tree, replace_occurrence
 from treerepair.slcf_grammar import SlcfGrammar
 
@@ -177,17 +177,14 @@ class TestIncrementalMaintenance:
 
 def check_index(idx, max_rank):
     """Occurrence lists, counts and queue placement agree with the arena;
-    every record is within the rank bound."""
+    every listed record is within the rank bound and is the only listed
+    record of its digram; every key in ``records`` names its record's
+    digram."""
     g = idx.g
     ar = g.arena
-    # a record key packs (parent id, child id, index); ids are pre-shifted
-    sym = {s >> _BITS: x for x, s in idx._sid.items()}
-    mask = (1 << _BITS) - 1
     listed = set()
-    for key, r in idx.records.items():
-        parent, index, child = (sym[key >> 2 * _BITS], key & mask,
-                                sym[key >> _BITS & mask])
-        assert max_rank is None or parent.rank + child.rank - 1 <= max_rank
+    owner = {}  # digram -> the record listing it
+    for r in range(len(idx.count)):
         entries = []
         prev, c = END, idx._head[r]
         while c != END:
@@ -199,9 +196,12 @@ def check_index(idx, max_rank):
         assert len(entries) == idx.count[r]
         if not entries:
             continue
-        # every entry has the head's digram, which is the key's
+        # every entry has the head's digram
         want = idx.digram(r)
-        assert want == (parent, index, child)
+        parent, _, child = want
+        assert max_rank is None or parent.rank + child.rank - 1 <= max_rank
+        # a dropped key looked up again would list its digram twice
+        assert owner.setdefault(want, r) == r, (want, owner[want], r)
         for c in entries:
             p, i = ar.parents[c], ar.pindex[c]
             assert ar.labels[c] is not None and p != -1
@@ -209,15 +209,20 @@ def check_index(idx, max_rank):
             assert (ar.labels[p], i, g.resolve_label(ar.labels[c])) == want
         listed.update(entries)
     assert listed == {c for c, r in enumerate(idx._slot) if r != FREE}
+    for key, r in idx.records.items():
+        assert owner.get(key, r) == r
+        assert not idx.count[r] or idx.digram(r) == key
 
     limit = idx.bucket_limit
     placed = [r for b in range(2, limit) for r in idx.buckets[b]] + list(idx.top)
     assert len(placed) == len(set(placed))
-    assert set(placed) == {r for r in idx.records.values() if idx.count[r] >= 2}
+    assert set(placed) == {r for r, n in enumerate(idx.count) if n >= 2}
     for b in range(2, limit):
         assert all(idx.count[r] == b for r in idx.buckets[b])
     assert all(idx.count[r] >= limit for r in idx.top)
     assert not any(idx.buckets[b] for b in range(idx.cursor + 1, limit))
+    # so a record falling out of the top list lands at or below the cursor
+    assert not idx.top or idx.cursor >= limit - 1
 
 
 def run_checked(g, idx, max_rank):
@@ -263,3 +268,104 @@ class TestRunInvariants:
             rounds += len(run_checked(g, idx, None))
             validate_grammar(g)
         assert rounds > 250
+
+
+def listed_off_round(g, idx):
+    """Run ``run_replacement_step`` with ``idx.link`` wrapped: returns the
+    number of edges linked and those without the round's new nonterminal
+    at one end (as parent or as resolved child)."""
+    ar = g.arena
+    link, new_nonterminal = idx.link, g.new_nonterminal
+    rounds = []
+    edges = []
+    off = []
+
+    def tracked_new_nonterminal(rank, is_dag):
+        nt = new_nonterminal(rank, is_dag)
+        if not is_dag:
+            rounds.append(nt)
+        return nt
+
+    def checked_link(nodes):
+        a = rounds[-1]
+        edges.extend(nodes)
+        for c in nodes:
+            parent = ar.labels[ar.parents[c]]
+            if parent is not a and g.resolve_label(ar.labels[c]) is not a:
+                off.append((parent, ar.pindex[c], ar.labels[c]))
+        link(nodes)
+
+    g.new_nonterminal = tracked_new_nonterminal
+    idx.link = checked_link
+    run_replacement_step(g, idx)
+    return len(edges), off
+
+
+class TestRoundContract:
+    """Between two pops ``link`` lists only edges with the popped round's
+    new nonterminal at one end, which is what lets ``records`` forget the
+    keys of earlier rounds."""
+
+    @pytest.mark.parametrize("use_dag", [True, False])
+    def test_every_linked_edge_has_the_round_symbol(self, use_dag):
+        edges = 0
+        for max_rank in (0, 1, 2, 3, 4, None):
+            for seed in range(25):
+                bt = parse_xml(random_xml(seed + 500, 600))
+                n_edges = bt.edge_count
+                g = build_dag_grammar(bt) if use_dag else SlcfGrammar.from_tree(bt)
+                idx = build_index(g, n_edges=n_edges, max_rank=max_rank)
+                n, off = listed_off_round(g, idx)
+                assert off == [], (max_rank, seed, off[:3])
+                edges += n
+        assert edges > 10_000
+
+    def test_unbounded_gen_M(self):
+        bt = gen_M(3)
+        n_edges = bt.edge_count
+        g = build_dag_grammar(bt)
+        n, off = listed_off_round(g, build_index(g, n_edges=n_edges))
+        assert off == [] and n > 1000
+
+
+class TestCursor:
+    """No bucket above the cursor holds a record: a record placed above a
+    cursor that a pop has lowered must raise it, or the next pop misses
+    the record."""
+
+    def popped_round(self):
+        # Three occurrences of (f,1,a) and single edges otherwise; at 100
+        # edges the buckets run to 9, so the pop lowers the cursor to 3.
+        g = SlcfGrammar.from_tree(ranked_bt(
+            ("r/3", [("f/1", ["a/0"]), ("f/1", ["a/0"]), ("f/1", ["a/0"])])))
+        idx = build_index(g, n_edges=100)
+        assert (idx.bucket_limit, idx.cursor) == (10, 9)
+        r = idx.pop_most_frequent()
+        assert idx.digram(r) == (ranked("f/1"), 1, ranked("a/0"))
+        assert idx.cursor == 3
+        return g, idx, r
+
+    def round_edges(self, g, k):
+        """k fresh edges (A, 1, b) of the round's new nonterminal A."""
+        a = g.new_nonterminal(1, is_dag=False)
+        return [root + 1 for root in g.new_tree([a, ranked("b/0")] * k)]
+
+    def test_link_past_the_cursor_raises_it(self):
+        g, idx, r = self.popped_round()
+        idx.link(self.round_edges(g, 4))
+        new = idx.pop_most_frequent()
+        assert new != r and idx.count[new] == 4
+        check_index(idx, None)
+
+    def test_a_record_falling_from_the_top_list_is_not_above_the_cursor(self):
+        # The record climbs through the buckets into the top list, raising
+        # the cursor on its way, so unlink has no cursor to raise.
+        g, idx, r = self.popped_round()
+        edges = self.round_edges(g, idx._top_at)
+        idx.link(edges)
+        new = idx._slot[edges[0]]
+        assert new in idx.top and idx.cursor == idx._top_at - 1
+        idx.unlink(edges[:1])
+        assert new in idx.buckets[idx._top_at - 1]
+        check_index(idx, None)
+        assert idx.pop_most_frequent() == new

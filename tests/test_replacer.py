@@ -143,13 +143,13 @@ class TestIndexProtocol:
                   for f, (*_, callers) in stats.items()
                   if f[0] == digram_index.__file__ and rewrite in callers}
         assert called == {"unlink": rewrites, "link": rewrites}
-        # link and unlink place records themselves: of the index's own
-        # functions they call only the symbol interning.
+        # link and unlink place records themselves: they call none of the
+        # index's own functions.
         lists = {f for f in stats
                  if f[0] == digram_index.__file__ and f[2] in ("link", "unlink")}
         callees = {f[2] for f, (*_, callers) in stats.items()
                    if f[0] == digram_index.__file__ and callers.keys() & lists}
-        assert callees <= {"_intern"}
+        assert not callees
         # Both DAG branches ran: a shared child was split, a single-use
         # one spliced.
         branches = {f[2] for f, (*_, callers) in stats.items()

@@ -70,11 +70,10 @@ def make_jobs(workloads, inputs, names, directory):
 
 def worker(jobs):
     """Print, as JSON, each job's stage seconds and output digest."""
-    from treerepair import (EDGES_THRESHOLD, FILESIZE_THRESHOLD, build_dag_grammar,
-                            build_index, decode, encode, parse_xml, prune,
-                            run_replacement_step)
+    from treerepair import (build_dag_grammar, build_index, decode, encode, parse_xml,
+                            prune, run_replacement_step)
+    from treerepair.pipeline import OPTIMIZE_THRESHOLDS
 
-    thresholds = {"edges": EDGES_THRESHOLD, "filesize": FILESIZE_THRESHOLD}
     out = {}
     for name, (path, max_rank, optimize) in jobs.items():
         with open(path, "rb") as fh:
@@ -93,7 +92,7 @@ def worker(jobs):
         g = stage(build_dag_grammar, bt)
         idx = stage(build_index, g, n_edges=n_edges, max_rank=max_rank)
         stage(run_replacement_step, g, idx)
-        stage(prune, g, thresholds[optimize])
+        stage(prune, g, OPTIMIZE_THRESHOLDS[optimize])
         stream = stage(encode, g)
         decoded = stage(decode, stream)
         xml = stage(decoded.write_xml)
