@@ -21,7 +21,7 @@ from .digram_index import build_index
 from .replacer import run_replacement_step
 from .pruner import EDGES_THRESHOLD, FILESIZE_THRESHOLD, prune
 from .succinct_coder import DecodeError, encode
-from .succinct_decoder import decode
+from .succinct_decoder import decode_with_census
 
 OPTIMIZE_THRESHOLDS = {
     "edges": EDGES_THRESHOLD,
@@ -65,18 +65,18 @@ def compress_xml_bytes(data, max_rank=4, optimize="filesize",
 
 def decompress_tree(data: bytes, node_cap=DEFAULT_NODE_CAP) -> BinaryTree:
     """Compressed stream back to the binary tree, by unfolding the grammar."""
-    g = decode(data)
+    g, census = decode_with_census(data)
     try:
-        return g.unfold_value(node_cap)
+        return g.unfold_value(node_cap, census)
     except GrammarError as exc:
         raise DecodeError(str(exc)) from None
 
 
 def decompress_bytes(data: bytes, node_cap=DEFAULT_NODE_CAP) -> bytes:
     """Compressed stream back to XML bytes, written from the grammar."""
-    g = decode(data)
+    g, census = decode_with_census(data)
     try:
-        return g.write_xml(node_cap)
+        return g.write_xml(node_cap, census)
     except (GrammarError, UnsupportedInputError) as exc:
         raise DecodeError(str(exc)) from None
 

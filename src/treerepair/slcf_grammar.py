@@ -85,6 +85,20 @@ class GrammarError(ValueError):
     pass
 
 
+def rhs_census(labels):
+    """``(terminal count, {referenced id: uses})`` of the rhs whose
+    preorder is ``labels``; parameters count in neither, and referenced
+    ids come in order of first use."""
+    count = 0
+    used = {}
+    for label in labels:
+        if label.__class__ is Nonterminal:
+            used[label.id] = used.get(label.id, 0) + 1
+        elif label is not PARAMETER:
+            count += 1
+    return count, used
+
+
 class SlcfGrammar:
     """Grammar over a shared arena.
 
@@ -195,20 +209,9 @@ class SlcfGrammar:
 
     def census(self):
         """``{id: (terminal count, {referenced id: uses})}`` per production,
-        counted in one preorder of its rhs (parameters count in neither);
-        referenced ids in order of first use."""
+        each counted by :func:`rhs_census` in the preorder of its rhs."""
         preorder = self.arena.preorder
-        out = {}
-        for i, nt in self.productions.items():
-            count = 0
-            used = {}
-            for label in preorder(nt.root):
-                if isinstance(label, Nonterminal):
-                    used[label.id] = used.get(label.id, 0) + 1
-                elif label is not PARAMETER:
-                    count += 1
-            out[i] = (count, used)
-        return out
+        return {i: rhs_census(preorder(nt.root)) for i, nt in self.productions.items()}
 
     def hierarchical_order(self):
         """Production ids ordered referenced-before-referencing, start last.
@@ -301,15 +304,16 @@ class SlcfGrammar:
 
     # -- derivation --------------------------------------------------------------
 
-    def _check_value_size(self, node_cap):
+    def _check_value_size(self, node_cap, census=None):
         """Raise GrammarError unless the value has at most ``node_cap`` nodes,
         and plan its derivation.
 
         The bound is the SLP length computation: bottom-up, a production's
         value counts its rhs terminals plus the values of the productions it
         references (parameters count 0), saturated at ``node_cap + 1``; the
-        counts per rhs come from :meth:`census`.  It runs before any output
-        exists.
+        counts per rhs come from ``census``, this grammar's :meth:`census`
+        when the caller has it, such as the decoder's, or are counted
+        here.  It runs before any output exists.
 
         Returns ``(plan, entry)`` for :func:`_derive`.  ``entry`` maps a
         production id to the rhs node a derivation enters at a reference
@@ -332,7 +336,8 @@ class SlcfGrammar:
         an evaluated production never references a walked one.
         """
         labels, productions = self.arena.labels, self.productions
-        census = self.census()
+        if census is None:
+            census = self.census()
         order = _dependency_order(census)
         size = {}
         entry = {}
@@ -359,27 +364,28 @@ class SlcfGrammar:
         plan.append(productions[start].root)
         return plan, entry
 
-    def unfold_value(self, node_cap=DEFAULT_NODE_CAP) -> BinaryTree:
+    def unfold_value(self, node_cap=DEFAULT_NODE_CAP, census=None) -> BinaryTree:
         """Derive the grammar's value as a fresh tree.
 
         ``node_cap`` bounds the output size; a value larger than that
-        raises GrammarError before any output node exists.
+        raises GrammarError before any output node exists.  ``census``,
+        if given, is this grammar's :meth:`census`.
         """
-        plan, entry = self._check_value_size(node_cap)
+        plan, entry = self._check_value_size(node_cap, census)
         out = Tree()
         root, = out.add_preorder(_derive(self.arena, plan, entry))
         return BinaryTree(out, root, self.terminal_order)
 
-    def write_xml(self, node_cap=DEFAULT_NODE_CAP) -> bytes:
+    def write_xml(self, node_cap=DEFAULT_NODE_CAP, census=None) -> bytes:
         """The value's XML document, written from the grammar without
         unfolding it.
 
         ``node_cap`` bounds the value's size as in :meth:`unfold_value`,
         and a value larger than that raises GrammarError before any tag is
         written.  A value whose root is not an XML-origin root raises
-        UnsupportedInputError.
+        UnsupportedInputError.  ``census`` is as in :meth:`unfold_value`.
         """
-        plan, entry = self._check_value_size(node_cap)
+        plan, entry = self._check_value_size(node_cap, census)
         return _write_tags(_derive(self.arena, plan, entry))
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import repeat
 
 from .bitio import BitReader, BitstreamEnd, bits_to_bytes
 from .xml_tree import ETX, ChildrenCharacteristic
@@ -176,6 +177,18 @@ LOOKUP_BITS = 14
 # its infinite length fails every remaining-bits check
 _UNASSIGNED = (None, math.inf)
 
+# run-table slot of a prefix that starts no run; its infinite count sends
+# the read to the one-word lookup
+_NO_RUN = (b"", 0, math.inf)
+
+# bytes a block read adds to its window at once: a refill costs a few
+# lookup steps, and 16 bytes against 8 took about 6% off the M-d12 decode
+REFILL_BYTES = 16
+
+# run-lookup width of a read without a run table: no window is that wide,
+# as one holds fewer than LOOKUP_BITS + 8 * REFILL_BYTES bits
+_NO_RUN_WIDTH = 1 << 20
+
 
 class CanonicalDecoder:
     """Decoder for a canonical code given its length table.
@@ -193,10 +206,20 @@ class CanonicalDecoder:
     LOOKUP_BITS)``, where a code word of length l <= w fills the
     ``2**(w-l)`` slots that start with it with ``(symbol, l)``, so by
     Kraft the fill costs at most ``2**w`` writes whatever the lengths.
+    The fill makes one slot per symbol and copies it into its slots with
+    list slices, so its Python work follows the symbols, not the slots.
     What the lookup cannot settle (code words longer than w, prefixes no
     code word starts with in an incomplete code, fewer than w bits left)
     it hands to ``read``.  Either way the reader ends where a bit-by-bit
     walk would, and raises the same errors.
+
+    A run table (:meth:`run_table`) lets the same lookup loop take
+    several code words per step, the k-bit tables of Choueka, Klein &
+    Perl (*Efficient variants of Huffman codes in high level languages*,
+    SIGIR 1985): a slot lists every whole code word its prefix starts
+    with.  A step takes a slot's words only when the one-word lookup
+    would read all of them and go on; every other step is a one-word
+    step, so the result is the same.
     """
 
     def __init__(self, lengths):
@@ -210,12 +233,20 @@ class CanonicalDecoder:
             raise DecodeError("code lengths overflow the code space")
         width = self._width = min(max_len, LOOKUP_BITS)
         lookup = self._lookup = [_UNASSIGNED] * (1 << width)
-        # the code words of one length fill one run of slots
+        # the code words of one length fill one run of slots, each word
+        # ``span`` slots: a strided slice per slot offset, or a slice per
+        # word, whichever makes fewer
         for l in range(1, width + 1):
-            span = range(1 << (width - l))
-            slots = [slot for slot in [(sym, l) for sym in self._syms[l]] for _ in span]
+            slots = list(zip(self._syms[l], repeat(l)))
+            span = 1 << (width - l)
             start = self._first[l] << (width - l)
-            lookup[start:start + len(slots)] = slots
+            end = start + len(slots) * span
+            if span <= len(slots):
+                for j in range(start, start + span):
+                    lookup[j:end:span] = slots
+            else:
+                for j, slot in zip(range(start, end, span), slots):
+                    lookup[j:j + span] = [slot] * span
 
     def read(self, reader: BitReader):
         avail = min(self.max_len, reader.remaining_bits)
@@ -230,27 +261,44 @@ class CanonicalDecoder:
             raise BitstreamEnd()
         raise DecodeError("invalid code word")
 
-    def read_block(self, reader: BitReader, out, deltas, balance, limit):
+    def read_block(self, reader: BitReader, out, deltas, balance, limit, runs=None):
         """Append symbols to ``out`` until ``balance`` reaches 0.
 
         Each symbol s adds ``deltas[s]`` to the balance.  The read also
         stops right after a symbol over ``limit`` or one whose delta is
         None, and returns that symbol without appending it; otherwise it
         returns None.  On an error, ``out`` holds the symbols before it.
+
+        ``runs``, a :meth:`run_table` for the same ``deltas`` and
+        ``limit``, appends a slot's symbols in one step while they leave
+        the balance above 0; a slot without a run, one that would end
+        the read and the last bits of the input take a one-word step.
         """
         lookup, width, read = self._lookup, self._width, self.read
         mask = (1 << width) - 1
+        if runs is None:
+            need, wide, wmask = width, _NO_RUN_WIDTH, 0
+        else:
+            wide = len(runs).bit_length() - 1
+            need, wmask = max(width, wide), (1 << wide) - 1
         data, append = reader._data, out.append
         # a window on the reader's bytes: the low ``have`` bits of ``acc`` are
         # the input from bit (byte << 3) - have; refills drop a negative have
         pos = reader._pos
         byte, have, acc = pos >> 3, -(pos & 7), 0
         while balance > 0:
-            if have < width:
-                chunk = data[byte:byte + 8]
+            if have < need:
+                chunk = data[byte:byte + REFILL_BYTES]
                 byte += len(chunk)
                 have += len(chunk) << 3
                 acc = (acc << 8 * len(chunk) | int.from_bytes(chunk, "big")) & ((1 << have) - 1)
+            if have >= wide:
+                run, length, count = runs[acc >> (have - wide) & wmask]
+                if count < balance:
+                    out += run
+                    have -= length
+                    balance -= count
+                    continue
             # fewer bits than the lookup width are left only at the end
             sym, length = lookup[acc >> (have - width) & mask] if have >= width else _UNASSIGNED
             if length > have:
@@ -268,6 +316,47 @@ class CanonicalDecoder:
             sym = None
         reader._pos = (byte << 3) - have
         return sym
+
+    def run_table(self, deltas, limit, wide):
+        """The ``2**wide`` slots of a several-words lookup for
+        :meth:`read_block` with ``deltas`` and ``limit``.
+
+        The slot of a ``wide``-bit prefix is ``(run, bits, count)``: the
+        symbols of the whole code words the prefix starts with, as bytes,
+        the bits they take and minus the sum of their deltas.  A run ends
+        before a symbol over ``limit`` or over 0xFF, or one whose delta is
+        None or positive: with deltas of at most 0, a run that leaves the
+        balance above 0 never passes 0 on its way.  A prefix that starts
+        no run gets ``_NO_RUN``.
+
+        The slots of k bits that start with a code word of length l are
+        that word before each slot of k - l bits, so the table is built
+        from the tables of the widths below it that ``wide`` minus a sum
+        of code lengths reaches, one tuple per slot.
+        """
+        words = []  # (code, length, symbol byte, minus delta) of the run symbols
+        for l in range(1, min(self.max_len, wide) + 1):
+            for code, s in enumerate(self._syms[l], self._first[l]):
+                d = deltas[s] if s <= min(limit, 0xFF) else None
+                if d is not None and d <= 0:
+                    words.append((code, l, bytes((s,)), -d))
+        tables = {}
+
+        def table(k):
+            if k not in tables:
+                empty = _NO_RUN if k == wide else (b"", 0, 0)
+                slots = []
+                for code, l, byte, count in words:
+                    if l > k:
+                        break
+                    start = code << (k - l)
+                    slots += [empty] * (start - len(slots))
+                    slots += [(byte + run, l + bits, count + c) for run, bits, c in table(k - l)]
+                slots += [empty] * ((1 << k) - len(slots))
+                tables[k] = slots
+            return tables[k]
+
+        return table(wide)
 
 
 def lengths_table(lengths) -> list:

@@ -11,8 +11,18 @@ each run indicator, every length counting -1 against the table's size.
 The decoder calls ``CanonicalDecoder.read`` only for the five lone counts:
 the terminal and production counts and the three characteristic block
 counts.  A body's ids are its preorder, from which ``SlcfGrammar.new_tree``
-makes its nodes in one pass.  Faults get the messages and the order a read
+makes its nodes in one pass, and which :func:`slcf_grammar.rhs_census`
+counts, so that a decoded grammar comes with its census and the value-size
+check walks no rhs again.  Faults get the messages and the order a read
 per value would give them.
+
+The names read takes several name bytes per lookup with a run table of
+the C3 code (``CanonicalDecoder.run_table``) when the section is large
+enough for its build to pay: its size is estimated from the terminal
+count and the length of ETX's code word (:func:`_name_runs`).  The last
+name, a byte over 0xFF and the last bits of the input are read a code
+word at a time, so the read ends, and fails, where a read per byte
+would.
 
 The names section makes the terminal alphabet in a few C-level passes
 when its last name is complete: one UTF-8 decode of the whole section,
@@ -33,11 +43,15 @@ from itertools import repeat
 
 from .bitio import BitReader, BitstreamEnd
 from .xml_tree import ETX, LOW_CHAR, ChildrenCharacteristic, TerminalSymbol, Tree
-from .slcf_grammar import PARAMETER, SlcfGrammar
+from .slcf_grammar import PARAMETER, SlcfGrammar, rhs_census
 from .succinct_coder import FIELD_BITS, MAX_CODE_BITS, CanonicalDecoder, DecodeError
 
 # name-section deltas: each ETX ends one of the names the read counts down
 _NAME_DELTAS = tuple(-(b == ETX) for b in range(256))
+# widest run table of the names read: on the M-d12 names, a lookup of 10,
+# 11 and 12 bits takes 2.27, 2.52 and 2.56 bytes, while the build doubles
+# with each bit
+NAME_RUN_BITS = 11
 _RANK = {char: char.rank for char in ChildrenCharacteristic}
 # a symbol from (name, characteristic, rank), for a name that keeps the rule
 _new_symbol = partial(tuple.__new__, TerminalSymbol)
@@ -100,10 +114,10 @@ def _parse_body(reader, decoder, grammar, symbols, deltas, parameter_id):
     when the balance, 1 plus the deltas, reaches 0; its symbols are then
     the preorder that ``SlcfGrammar.new_tree`` builds the nodes from.
 
-    Returns (root node, parameter count).  A body that is a bare
-    parameter (``A(y) -> y``) is rejected: the encoder never writes one,
-    and a chain of references through it would derive a small value from
-    an exponentially long walk.
+    Returns (root node, parameter count, :func:`rhs_census` of the
+    body).  A body that is a bare parameter (``A(y) -> y``) is rejected:
+    the encoder never writes one, and a chain of references through it
+    would derive a small value from an exponentially long walk.
     """
     ids = []
     bad = decoder.read_block(reader, ids, deltas, 1, len(deltas) - 1)
@@ -111,8 +125,9 @@ def _parse_body(reader, decoder, grammar, symbols, deltas, parameter_id):
         raise DecodeError("symbol id %d out of range" % bad)
     if ids[0] == parameter_id:
         raise DecodeError("production body is a bare parameter")
-    root, = grammar.new_tree(list(map(symbols.__getitem__, ids)))
-    return root, ids.count(parameter_id)
+    labels = list(map(symbols.__getitem__, ids))
+    root, = grammar.new_tree(labels)
+    return root, ids.count(parameter_id), rhs_census(labels)
 
 
 def _read_terminals(raw, char_of) -> dict:
@@ -157,20 +172,44 @@ def _read_terminals(raw, char_of) -> dict:
     return terminals
 
 
+def _name_runs(c3, etx_bits, n_terminals):
+    """The run table of the names read, or None when it would not pay.
+
+    A Huffman code gives a byte that makes up about 2**-l of the section
+    a word of length l, so with ``etx_bits`` the length of ETX, which
+    ends each of the ``n_terminals`` names, the section holds about
+    ``n_terminals << etx_bits`` bytes.  A slot costs about as much to
+    build as the run lookup saves on two name bytes, so the table has at
+    most half as many slots as that, and at most ``2**NAME_RUN_BITS``.
+    It is built only when it is wider than the longest code word, so
+    that a slot can hold more than one.
+    """
+    if etx_bits is None:
+        return None
+    wide = min(NAME_RUN_BITS, (n_terminals << etx_bits >> 1).bit_length() - 1)
+    return c3.run_table(_NAME_DELTAS, 0xFF, wide) if wide > c3.max_len else None
+
+
 def decode(data: bytes) -> SlcfGrammar:
+    return decode_with_census(data)[0]
+
+
+def decode_with_census(data: bytes):
+    """The grammar of a stream and its :meth:`SlcfGrammar.census`,
+    counted from the bodies as they are read."""
     reader = BitReader(data)
     try:
-        grammar = _decode(reader)
+        decoded = _decode(reader)
     except BitstreamEnd:
         raise DecodeError("truncated input") from None
     if reader.remaining_bits >= 8:
         raise DecodeError("trailing data after the grammar")
     if reader.remaining_bits and reader.read(reader.remaining_bits) != 0:
         raise DecodeError("nonzero padding bits")
-    return grammar
+    return decoded
 
 
-def _decode(reader) -> SlcfGrammar:
+def _decode(reader):
     n_s = reader.read(FIELD_BITS)
     if not 1 <= n_s <= MAX_CODE_BITS:
         raise DecodeError("implausible super code width %d" % n_s)
@@ -193,9 +232,10 @@ def _decode(reader) -> SlcfGrammar:
         # every run token yields at most 139 entries from >= 1 input bit
         if count > 139 * max(reader.remaining_bits, 1):
             raise DecodeError("length table larger than the input allows")
-        decoders.append(CanonicalDecoder(
-            run_length_decode(reader, super_decoder, n, count)))
+        lengths = run_length_decode(reader, super_decoder, n, count)
+        decoders.append(CanonicalDecoder(lengths))
     c1, c2, c3 = decoders
+    etx_bits = lengths.get(ETX)  # the last table read is C3's
 
     n_terminals = c2.read(reader)
     if n_terminals < 1:
@@ -231,7 +271,8 @@ def _decode(reader) -> SlcfGrammar:
 
     raw = bytearray()
     try:
-        bad = c3.read_block(reader, raw, _NAME_DELTAS, n_terminals, 0xFF)
+        bad = c3.read_block(reader, raw, _NAME_DELTAS, n_terminals, 0xFF,
+                            _name_runs(c3, etx_bits, n_terminals))
     finally:
         terminals = _read_terminals(raw, char_of)
     if bad is not None:
@@ -241,15 +282,18 @@ def _decode(reader) -> SlcfGrammar:
     parameter_id = n_terminals + 1
     symbols = [None, *terminals, PARAMETER]
     deltas = [None, *[sym.rank - 1 for sym in terminals], -1]
-    for k in range(n_other):
-        root, y_count = _parse_body(reader, c2, grammar, symbols, deltas, parameter_id)
+    census = {}
+    for _ in range(n_other):
+        root, y_count, counts = _parse_body(reader, c2, grammar, symbols, deltas, parameter_id)
         nt = grammar.new_nonterminal(y_count, is_dag=False)
         grammar.add_production(nt, root)
+        census[nt.id] = counts
         symbols.append(nt)
         deltas.append(y_count - 1)
-    root, y_count = _parse_body(reader, c1, grammar, symbols, deltas, parameter_id)
+    root, y_count, counts = _parse_body(reader, c1, grammar, symbols, deltas, parameter_id)
     if y_count:
         raise DecodeError("parameters in the start production")
     start = grammar.new_nonterminal(0, is_dag=False)
     grammar.add_production(start, root, start=True)
-    return grammar
+    census[start.id] = counts
+    return grammar, census

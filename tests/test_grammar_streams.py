@@ -20,13 +20,13 @@ from treerepair import (
     SlcfGrammar,
     TerminalSymbol,
     Tree,
-    decode,
     decompress_bytes,
     decompress_tree,
     encode,
     serialize_xml,
 )
 from treerepair.slcf_grammar import _derive
+from treerepair.succinct_decoder import decode_with_census
 
 from oracles import (canonical_text, decompress_bytes_by_unfolding, same_structure,
                      value_by_substitution)
@@ -186,9 +186,11 @@ class TestDirectGrammars:
     @RELAXED
     def test_stream_survives_a_decode(self, g):
         blob = encode(g)
-        decoded = decode(blob)
+        decoded, census = decode_with_census(blob)
         assert encode(decoded) == blob
         assert canonical_text(decoded) == canonical_text(g)
+        # the decoder counts each body as it reads it
+        assert census == decoded.census()
 
     @given(g=GRAMMARS)
     @RELAXED

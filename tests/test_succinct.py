@@ -1,10 +1,14 @@
 """Binary coding: Huffman tables, run-length coding, the output format."""
 
 import cProfile
+import inspect
+import math
 import pstats
 import random
+import sys
 import time
 import tracemalloc
+from collections import Counter
 from functools import partial
 from unittest import mock
 
@@ -30,8 +34,8 @@ from treerepair.succinct_coder import (
 )
 from treerepair.bitio import BitReader, BitstreamEnd, bits_to_bytes
 from treerepair.slcf_grammar import PARAMETER
-from treerepair.succinct_decoder import _read_terminals
-from treerepair.xml_tree import ChildrenCharacteristic
+from treerepair.succinct_decoder import _NAME_DELTAS, _read_terminals
+from treerepair.xml_tree import ETX, ChildrenCharacteristic
 
 from conftest import BOOKS, BOOKS_VALUES, flat_values, make_grammar, read_header
 from oracles import (bitwise_reader, canonical_text, huffman_cost, kraft_sum, prefix_free,
@@ -282,6 +286,132 @@ class TestBlockRead:
         assert list(out) == symbols[:-1]
         assert dec.read(r) == symbols[-1]
         assert r.remaining_bits < 8
+
+
+@st.composite
+def name_codes(draw):
+    """Length table of a names code: a ``prefix_codes`` table, most often
+    with ETX among its symbols, so that names end; its symbols up to 300
+    include some over 0xFF."""
+    lengths = draw(prefix_codes())
+    if ETX not in lengths and draw(st.integers(0, 3)):
+        syms = sorted(lengths)
+        etx_for = syms[draw(st.integers(0, len(syms) - 1))]
+        lengths[ETX] = lengths.pop(etx_for)
+    return lengths
+
+
+# lengths 1, 2, .., 63, 64, 64 on ETX and the bytes 'a'..: a complete code
+# up to the widest plausible word
+WIDEST_NAME_CODE = {s: min(k + 1, 64) for k, s in enumerate([ETX, *range(97, 97 + 64)])}
+
+
+def names_read_turns(blob):
+    """Loop turns of ``read_block`` in the names read while ``blob``
+    decodes, and the grammar: a tracer counts the line events of the loop
+    head in the names read's frame alone."""
+    code = CanonicalDecoder.read_block.__code__
+    lines, first = inspect.getsourcelines(CanonicalDecoder.read_block)
+    head = first + next(i for i, line in enumerate(lines) if "while balance > 0" in line)
+    turns = 0
+
+    def count(frame, what, arg):
+        nonlocal turns
+        turns += what == "line" and frame.f_lineno == head
+        return count
+
+    def names_frame(frame, what, arg):
+        if frame.f_code is code and frame.f_locals["deltas"] is _NAME_DELTAS:
+            return count
+        return None
+
+    old = sys.gettrace()
+    sys.settrace(names_frame)
+    try:
+        g = decode(blob)
+    finally:
+        sys.settrace(old)
+    return turns, g
+
+
+class TestRunRead:
+    """The names read with a run table, which takes several code words per
+    lookup, against the one-word ``read_block``."""
+
+    @given(lengths=name_codes(), picks=st.lists(st.integers(0, 60), max_size=60),
+           noise=st.lists(st.booleans(), max_size=40),
+           cut=st.one_of(st.none(), st.integers(0, 10 ** 6)), skip=st.integers(0, 7),
+           names=st.integers(0, 12), limit=st.sampled_from([0xFF, 150]),
+           wide=st.integers(1, 12), seed=st.one_of(st.none(), st.integers(0, 2 ** 16)))
+    @settings(max_examples=200, deadline=None,
+              phases=[p for p in Phase if p is not Phase.explain])
+    @example(lengths=WIDEST_NAME_CODE, picks=[64, 64, 0, 64, 63, 1] * 3, noise=[], cut=None,
+             skip=3, names=4, limit=0xFF, wide=12, seed=None)
+    # ETX ends the last name inside a slot of four words: a ETX a a
+    @example(lengths={ETX: 2, 97: 2, 98: 2, 99: 2}, picks=[1, 0, 1, 1], noise=[], cut=None,
+             skip=0, names=1, limit=0xFF, wide=8, seed=None)
+    def test_matches_the_one_word_read(self, lengths, picks, noise, cut, skip, names,
+                                       limit, wide, seed):
+        """The streams of test_matches_a_loop_of_reads; a table of ``wide``
+        bits, whose longest word may pass wide/2 or wide itself; the names
+        deltas, or for a ``seed`` random ones of -1, 0, 1 and None: both
+        reads append the same bytes and stop at the same symbol or error,
+        at the same bit."""
+        data = code_stream(lengths, picks, noise, cut, skip)
+        deltas = _NAME_DELTAS
+        if seed is not None:
+            rng = random.Random(seed)
+            deltas = [rng.choice((-1, -1, 0, 1, None)) for _ in range(limit + 1)]
+        dec = CanonicalDecoder(lengths)
+        runs = dec.run_table(deltas, limit, wide)
+        args = data, skip, deltas, names, limit
+        got = block_read_until_error(partial(dec.read_block, runs=runs), *args)
+        want = block_read_until_error(dec.read_block, *args)
+        assert got == want
+
+    def test_a_cut_at_every_bit(self):
+        """A names section of the gen_M(2) leaves in its Huffman code, cut
+        after each of its bits: both reads end alike at every cut."""
+        section = b"".join(b"leaf_%d\x03" % k for k in range(16))
+        lengths = huffman_code_lengths(Counter(section))
+        codes = canonical_codes(lengths)
+        bits = "".join(codes[b] for b in section)
+        dec = CanonicalDecoder(lengths)
+        runs = dec.run_table(_NAME_DELTAS, 0xFF, 2 * dec.max_len)
+        for cut in range(len(bits) + 1):
+            args = bits_to_bytes(bits[:cut]), 0, _NAME_DELTAS, 16, 0xFF
+            got = block_read_until_error(partial(dec.read_block, runs=runs), *args)
+            assert got == block_read_until_error(dec.read_block, *args)
+
+    def test_slots_list_the_whole_code_words(self):
+        # ETX 0, a 10, b 110, symbol 300 111
+        dec = CanonicalDecoder({ETX: 1, 97: 2, 98: 3, 300: 3})
+        runs = dec.run_table(_NAME_DELTAS, 0xFF, 3)
+        assert runs[0b000] == (b"\x03\x03\x03", 3, 3)
+        assert runs[0b010] == (b"\x03a", 3, 1)
+        assert runs[0b101] == (b"a", 2, 0)  # "1" starts a longer word
+        assert runs[0b110] == (b"b", 3, 0)
+        assert runs[0b111] == (b"", 0, math.inf)  # symbol 300 is over 0xFF
+
+    def test_a_run_ends_before_a_positive_delta(self):
+        # balance 1 and the words 0 (delta -1) then 1 (delta +1): the read
+        # stops after the first, though the two sum to 0
+        dec = CanonicalDecoder({0: 1, 1: 1})
+        runs = dec.run_table([-1, 1], 1, 2)
+        assert runs[0b01] == (b"\x00", 1, 1)
+        r = BitReader(b"\x40")
+        out = []
+        assert dec.read_block(r, out, [-1, 1], 1, 1, runs) is None
+        assert out == [0] and r.remaining_bits == 7
+
+    def test_names_read_takes_two_bytes_per_turn(self):
+        """Line events, not wall time: the gen_M(3) names, 2 196 bytes of a
+        code whose longest word is 6 bits, take at most one loop turn per
+        two bytes, where the one-word read takes one per byte."""
+        turns, g = names_read_turns(compress_tree(gen_M(3), max_rank=None))
+        name_bytes = sum(len(sym.name) + 1 for sym in g.terminal_order)
+        assert name_bytes == 2196
+        assert 2 * turns <= name_bytes
 
 
 def bit_string(data):

@@ -71,8 +71,14 @@ def make_jobs(workloads, inputs, names, directory):
 def worker(jobs):
     """Print, as JSON, each job's stage seconds and output digest."""
     from treerepair import (build_dag_grammar, build_index, decode, encode, parse_xml,
-                            prune, run_replacement_step)
+                            prune, run_replacement_step, succinct_decoder)
     from treerepair.pipeline import OPTIMIZE_THRESHOLDS
+    from treerepair.slcf_grammar import DEFAULT_NODE_CAP
+
+    # a source tree whose decoder does not count the bodies leaves the
+    # census to write_xml
+    decode_with_census = getattr(succinct_decoder, "decode_with_census",
+                                 lambda stream: (decode(stream), None))
 
     out = {}
     for name, (path, max_rank, optimize) in jobs.items():
@@ -94,8 +100,8 @@ def worker(jobs):
         stage(run_replacement_step, g, idx)
         stage(prune, g, OPTIMIZE_THRESHOLDS[optimize])
         stream = stage(encode, g)
-        decoded = stage(decode, stream)
-        xml = stage(decoded.write_xml)
+        decoded, census = stage(decode_with_census, stream)
+        xml = stage(decoded.write_xml, *() if census is None else (DEFAULT_NODE_CAP, census))
         out[name] = {"s": times, "sha256": hashlib.sha256(stream + xml).hexdigest()}
     print(json.dumps(out))
 

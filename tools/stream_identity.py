@@ -16,10 +16,15 @@ sets (``max_rank`` 0, 1, 2, 3, 4 and unbounded, both objectives, DAG on
 and off), 7 320 streams in all.  It decompresses each document's stream with
 ``decompress_bytes`` and each tree's with ``decompress_tree`` (a
 ``gen_*`` root has two children, so its value is no XML document) and
-writes the tree's preorder as label text.  It prints the stream count and
-one sha256 over every stream and its decompressed output.  The script
-prints both lines and exits 0 if they agree, 1 if not.  It needs no
-network and is not part of the test suite.
+writes the tree's preorder as label text.  It then decompresses three
+mutants of every stream, seeded by the stream's number: two with one bit
+flipped, one cut after a byte, each under a cap of ``MUTANT_NODE_CAP``
+value nodes.  The outcome of a mutant is its output or its
+``DecodeError`` message, so a decoder change shows the same faults, in
+the same order, over every stream.  It prints the stream count and one
+sha256 over every stream, its decompressed output and the outcomes of
+its mutants.  The script prints both lines and exits 0 if they agree, 1
+if not.  It needs no network and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ FLAGS = [(max_rank, optimize, use_dag)
          for use_dag in (True, False)]
 FAMILIES = [("gen_M", range(4)), ("gen_U", range(3, 13)),
             ("gen_perfect_binary", range(1, 10))]
+# value bound of a mutant's decompression: a flipped bit can describe a
+# value far larger than any in the corpus, the largest of which has about
+# 8 200 nodes
+MUTANT_NODE_CAP = 2 ** 16
 
 
 def corpus():
@@ -53,14 +62,35 @@ def corpus():
             + [inputs.records(SEED, 200_000), inputs.mtree(12)])
 
 
+def mutants(stream, number):
+    """Two copies of ``stream`` with one bit flipped and one cut after a
+    byte, drawn from a generator seeded by the stream's ``number``."""
+    rng = random.Random(number)
+    out = []
+    for _ in range(2):
+        bit = rng.randrange(8 * len(stream))
+        flipped = bytearray(stream)
+        flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+        out.append(bytes(flipped))
+    out.append(stream[:rng.randrange(len(stream))])
+    return out
+
+
 def worker():
     """Print the stream count and digest of this interpreter's package."""
-    from treerepair import (compress_tree, compress_xml_bytes, decompress_bytes,
-                            decompress_tree, fixtures)
+    from treerepair import (DecodeError, compress_tree, compress_xml_bytes,
+                            decompress_bytes, decompress_tree, fixtures)
+    from treerepair.slcf_grammar import DEFAULT_NODE_CAP
 
-    def tree_text(stream):
-        bt = decompress_tree(stream)
+    def tree_text(stream, node_cap=DEFAULT_NODE_CAP):
+        bt = decompress_tree(stream, node_cap)
         return " ".join(map(repr, bt.tree.preorder(bt.root))).encode()
+
+    def outcome(decompress, stream):
+        try:
+            return decompress(stream, MUTANT_NODE_CAP)
+        except DecodeError as exc:
+            return ("DecodeError: %s" % exc).encode()
 
     docs = corpus()
     jobs = [(lambda flags, d=d: compress_xml_bytes(d, *flags), decompress_bytes)
@@ -72,7 +102,9 @@ def worker():
     for compress, decompress in jobs:
         for flags in FLAGS:
             stream = compress(flags)
-            for part in (stream, decompress(stream)):
+            parts = [stream, decompress(stream)]
+            parts += [outcome(decompress, m) for m in mutants(stream, count)]
+            for part in parts:
                 h.update(len(part).to_bytes(8, "big"))
                 h.update(part)
             count += 1
