@@ -7,13 +7,15 @@ Usage::
 Each ``SRC`` is a directory holding the ``treerepair`` package, such as
 the ``src`` directory of a checkout.  For each side, a child interpreter
 with ``PYTHONPATH=SRC`` makes a fixed corpus from seed 1: 280 random
-documents of up to 60 elements from ``tests/conftest.random_xml``, and
-from ``bench/inputs.py`` a 200 KB records document and the depth-12
-``mtree`` document of the ``M-d12-rank-inf`` bench workload.  It
+documents of up to 60 elements from ``tests/conftest.random_xml``, 20 of
+up to 400 elements named from 1 000 names, whose names sections are large
+enough for the decoder's run table, and from ``bench/inputs.py`` a
+200 KB records document and the depth-12 ``mtree`` document of the
+``M-d12-rank-inf`` bench workload.  It
 compresses every document and every tree of the ``gen_M`` (0-3),
 ``gen_U`` (3-12) and ``gen_perfect_binary`` (1-9) families under 24 flag
 sets (``max_rank`` 0, 1, 2, 3, 4 and unbounded, both objectives, DAG on
-and off), 7 320 streams in all.  It decompresses each document's stream with
+and off), 7 800 streams in all.  It decompresses each document's stream with
 ``decompress_bytes`` and each tree's with ``decompress_tree`` (a
 ``gen_*`` root has two children, so its value is no XML document) and
 writes the tree's preorder as label text.  It then decompresses three
@@ -39,6 +41,10 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
 DOCS = 280
+# documents named from NAMES names: only a large names section builds the
+# decoder's run table, and the random ones vary what follows it
+NAMED_DOCS = 20
+NAMES = ["n%d" % k for k in range(1000)]
 FLAGS = [(max_rank, optimize, use_dag)
          for max_rank in (0, 1, 2, 3, 4, None)
          for optimize in ("edges", "filesize")
@@ -54,11 +60,12 @@ MUTANT_NODE_CAP = 2 ** 16
 def corpus():
     """The fixed documents, made with this interpreter's package."""
     sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
-    from conftest import random_xml
+    from conftest import random_shape, random_xml, shape_to_xml
     import inputs
 
     rng = random.Random(SEED)
     return ([random_xml(rng, 60) for _ in range(DOCS)]
+            + [shape_to_xml(random_shape(rng, 400, NAMES)) for _ in range(NAMED_DOCS)]
             + [inputs.records(SEED, 200_000), inputs.mtree(12)])
 
 
