@@ -1,65 +1,136 @@
-"""Minimal-DAG construction by hash-consing.
+"""Minimal-DAG grammar construction from subtree equality classes.
 
-``hash_cons`` gives every node, children before parents, the id of its
-subtree's equality class, keyed on its label and its children's class ids
-(Downey, Sethi & Tarjan, J. ACM 1980); it also sizes the DAGs for the
-statistics.  ``build_dag_grammar`` walks the postorder once: the second
-sighting of a class moves the first node's subtree into a fresh rank-0
-production and makes both nodes references, later sightings become
-references, and leaves stay literal.  A later copy's children come before
-it and belong to classes already seen, so by its visit they are references
-(or leaves) and only they need killing.  The same holds for the second
-sighting, which thus falls where a bottom-up scheme keying only depth-1
-views of references and leaves would first see a repeat: productions are
-made, and numbered, in that order.  A final pass splices singly-referenced
-productions back, leaving the minimal DAG in grammar form.
+A tree's subtrees fall into equality classes, each keyed on its label and
+its children's classes (hash-consing: Downey, Sethi & Tarjan, J. ACM
+1980).  Two feeders list the classes in first-sighting order of the
+binary postorder: ``xml_tree.parse_xml_classes`` while it parses, making
+no node (Buneman, Grohe & Koch, *Path queries on compressed XML*, VLDB
+2003, build the minimal DAG of an XML skeleton in one SAX pass), and
+``hash_cons`` over the postorder of a tree that exists.  One builder,
+``dag_grammar``, makes the grammar from the class table alone.
+
+The grammar is the minimal DAG in grammar form: a non-leaf class gets a
+rank-0 production exactly when its in-degree in the DAG, counted with
+multiplicity, is at least 2; every other class is written inline, and
+leaves stay literal.  Ids follow what sharing repeats one by one in
+postorder and then splicing the singly-referenced productions back would
+give: every non-leaf class takes the next id at its second sighting, the
+start production the one after.  The references of a production are the
+occurrences of its class whose parent is the first sighting of its own
+class, in postorder.
 """
 
 from __future__ import annotations
 
-from .xml_tree import BinaryTree
-from .slcf_grammar import Nonterminal, SlcfGrammar
+from collections import Counter
+from itertools import chain
+from operator import itemgetter
+
+from .xml_tree import BinaryTree, SubtreeClasses, Tree
+from .slcf_grammar import SlcfGrammar
+
+_child_classes = itemgetter(slice(1, None))
 
 
 def hash_cons(nodes, kids, labels):
-    """Class ids of the subtrees at ``nodes`` (children before parents;
-    ``kids`` and ``labels`` are lists indexed by node): ``(cls, keys)``
-    with ``cls[v]`` v's id and ``keys`` each class's ``(label id, *child
-    ids)`` in id order.  Ids follow first sighting, never hash order; keys
-    hold only ints, so the garbage collector stops tracking them."""
+    """Equality classes of the subtrees at ``nodes`` (children before
+    parents; ``kids`` and ``labels`` are lists indexed by node):
+    ``(keys, label list, repeats)`` as in ``SubtreeClasses``.  Ids follow
+    first sighting, never hash order; keys hold only ints, so the garbage
+    collector stops tracking them."""
     cls = [0] * len(labels)
     table, lid = {}, {}
-    add, label_id, get = table.setdefault, lid.setdefault, cls.__getitem__
+    repeats = []
+    add, label_id, get, sighted = table.setdefault, lid.setdefault, cls.__getitem__, repeats.append
     for v in nodes:
-        cls[v] = add((label_id(labels[v], len(lid)), *map(get, kids[v])), len(table))
-    return cls, list(table)
+        n = len(table)
+        c = cls[v] = add((label_id(labels[v], len(lid)), *map(get, kids[v])), n)
+        if c != n:
+            sighted(c)
+    return list(table), list(lid), repeats
+
+
+def tree_classes(bt: BinaryTree) -> SubtreeClasses:
+    """The subtree classes of ``bt``, by ``hash_cons`` over its postorder."""
+    t = bt.tree
+    return SubtreeClasses(*hash_cons(t.iter_postorder(bt.root), t.children, t.labels),
+                          bt.terminal_order)
+
+
+def dag_grammar(classes: SubtreeClasses) -> SlcfGrammar:
+    """The minimal-DAG grammar of the tree whose subtree classes are
+    ``classes``, in a fresh arena.
+
+    Each production's rhs is made as its preorder: a child class with a
+    production becomes a reference, any other is written out in place.
+    All rhs trees are made in one ``Tree.add_preorder`` call, productions
+    in id order and the start last.  A reference leaf stands for an
+    occurrence whose parent is a first sighting, and the first sightings
+    form the top of the tree in which each shared class is expanded at
+    its first occurrence; so the postorder of those occurrences is that
+    of a walk from the start that enters a production at its first
+    reference and registers a reference after everything below it.
+    Within one rhs, references are leaves, met in the same order in
+    preorder and postorder.
+    """
+    keys, labels = classes.keys, classes.labels
+    g = SlcfGrammar(Tree(), classes.terminal_order)
+    # the non-leaf classes sighted twice, by second sighting
+    repeated = [c for c in dict.fromkeys(classes.repeats) if len(keys[c]) > 1]
+    nts = {}   # class -> nonterminal of its production
+    if repeated:
+        indegree = Counter(chain.from_iterable(map(_child_classes, keys)))
+        for c in repeated:
+            nt = g.new_nonterminal(0, is_dag=True)
+            if indegree[c] > 1:
+                nts[c] = nt
+    start = nts[len(keys) - 1] = g.new_nonterminal(0, is_dag=False)  # the root's class
+
+    out = []    # every rhs's preorder, one after another
+    uses = {}   # nonterminal -> positions of the references in its rhs
+    get = nts.get
+    for c, nt in nts.items():
+        key = keys[c]
+        out.append(labels[key[0]])
+        stack = list(key[:0:-1])
+        refs = uses[nt] = []
+        while stack:
+            d = stack.pop()
+            while True:  # down the first-child line, later children wait
+                ref = get(d)
+                if ref is not None:
+                    refs.append(len(out))
+                    out.append(ref)
+                    break
+                key = keys[d]
+                out.append(labels[key[0]])
+                if len(key) == 1:
+                    break
+                if len(key) > 2:
+                    stack += key[:1:-1]
+                d = key[1]
+
+    # One arena from node 0: a label's position in ``out`` is its node id.
+    roots = g.arena.add_preorder(out)
+    for nt, root in zip(uses, roots):
+        g.add_production(nt, root, start=nt is start)
+
+    frames = [(iter(uses[start]), None)]
+    while frames:
+        it, v = frames[-1]
+        for w in it:
+            nt = out[w]
+            if not nt.refs:  # its first reference: its own references come first
+                frames.append((iter(uses[nt]), w))
+                break
+            nt.refs[w] = None
+        else:
+            frames.pop()
+            if v is not None:
+                out[v].refs[v] = None
+    return g
 
 
 def build_dag_grammar(bt: BinaryTree) -> SlcfGrammar:
-    """Share repeated subtrees of ``bt`` and wrap it as its minimal DAG.
-
-    The tree's arena is adopted; ``bt`` must not be used afterwards.
-    """
-    g = SlcfGrammar(bt.tree, bt.terminal_order)
-    labels, children = g.arena.labels, g.arena.children
-    nodes = list(g.arena.iter_postorder(bt.root))
-    cls, keys = hash_cons(nodes, children, labels)
-    seen = [None] * len(keys)  # per class: its first node, then its nonterminal
-    for v in nodes:
-        if not children[v]:
-            continue
-        c = cls[v]
-        hit = seen[c]
-        if hit is None:
-            seen[c] = v
-            continue
-        if hit.__class__ is not Nonterminal:
-            hit = seen[c] = g.share(hit)
-        for k in children[v]:
-            g.kill_node(k)
-        children[v] = []
-        g.relabel(v, hit)
-    s = g.new_nonterminal(0, is_dag=False)
-    g.add_production(s, bt.root, start=True)
-    g.splice_single_refs()
-    return g
+    """The minimal-DAG grammar of ``bt``, which is left as it was."""
+    return dag_grammar(tree_classes(bt))

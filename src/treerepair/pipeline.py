@@ -14,9 +14,9 @@ import time
 from collections import Counter
 
 from .xml_tree import (BinaryTree, UnsupportedInputError, element_children,
-                       parse_xml)
+                       parse_xml, parse_xml_classes)
 from .slcf_grammar import DEFAULT_NODE_CAP, GrammarError, SlcfGrammar
-from .dag_builder import build_dag_grammar, hash_cons
+from .dag_builder import dag_grammar, hash_cons, tree_classes
 from .digram_index import build_index
 from .replacer import run_replacement_step
 from .pruner import EDGES_THRESHOLD, FILESIZE_THRESHOLD, prune
@@ -37,19 +37,27 @@ def check_flags(max_rank, optimize):
         raise ValueError("max_rank must not be negative")
 
 
-def build_grammar(bt: BinaryTree, max_rank=4, optimize="filesize",
-                  use_dag=True) -> SlcfGrammar:
-    """Run the grammar construction on a tree (consumes its arena)."""
-    check_flags(max_rank, optimize)
-    n_edges = bt.edge_count
-    if use_dag:
-        g = build_dag_grammar(bt)
-    else:
-        g = SlcfGrammar.from_tree(bt)
+def _reduce(g, n_edges, max_rank, optimize):
+    """Digram replacement and pruning on ``g``, whose value has
+    ``n_edges`` edges (None: ``g`` is that tree)."""
     idx = build_index(g, n_edges=n_edges, max_rank=max_rank)
     run_replacement_step(g, idx)
     prune(g, OPTIMIZE_THRESHOLDS[optimize])
     return g
+
+
+def _from_classes(classes, max_rank, optimize):
+    return _reduce(dag_grammar(classes), classes.edge_count, max_rank, optimize)
+
+
+def build_grammar(bt: BinaryTree, max_rank=4, optimize="filesize",
+                  use_dag=True) -> SlcfGrammar:
+    """Run the grammar construction on a tree (without ``use_dag``, the
+    grammar adopts its arena)."""
+    check_flags(max_rank, optimize)
+    if use_dag:
+        return _from_classes(tree_classes(bt), max_rank, optimize)
+    return _reduce(SlcfGrammar.from_tree(bt), None, max_rank, optimize)
 
 
 def compress_tree(bt: BinaryTree, max_rank=4, optimize="filesize",
@@ -59,7 +67,11 @@ def compress_tree(bt: BinaryTree, max_rank=4, optimize="filesize",
 
 def compress_xml_bytes(data, max_rank=4, optimize="filesize",
                        use_dag=True) -> bytes:
+    """Compress XML bytes; with ``use_dag``, subtrees are shared while
+    parsing (``parse_xml_classes``) and no tree is made."""
     check_flags(max_rank, optimize)
+    if use_dag:
+        return encode(_from_classes(parse_xml_classes(data), max_rank, optimize))
     return compress_tree(parse_xml(data), max_rank, optimize, use_dag)
 
 
@@ -89,7 +101,7 @@ def _mdag_sizes(nodes, kids, labels):
     non-leaf nodes with in-degree two or more (the subtrees a DAG grammar
     needs a production for).
     """
-    _, keys = hash_cons(nodes, kids, labels)
+    keys, _, _ = hash_cons(nodes, kids, labels)
     indegree = Counter(d for _, *ks in keys for d in ks)
     shared = sum(1 for i, key in enumerate(keys) if len(key) > 1 and indegree[i] >= 2)
     return len(keys), sum(indegree.values()), shared

@@ -253,37 +253,88 @@ class BinaryTree:
         return self.tree.node_count(self.root)
 
 
+class SubtreeClasses(namedtuple("SubtreeClasses", "keys labels repeats terminal_order")):
+    """The equality classes of a binary tree's subtrees: what
+    ``dag_builder.dag_grammar`` builds the minimal-DAG grammar from.
+
+    Class ids follow first sighting in binary postorder (children before
+    parents, left to right), so a child's class id is below its parent's
+    and the root's class is the last.  ``keys[c]`` is ``(label id, *child
+    class ids)``, and ``labels[i]`` is the label of id i.  ``repeats``
+    lists, in postorder, the class of every sighting after a class's
+    first, so the tree has ``len(keys) + len(repeats)`` nodes.
+    """
+
+    __slots__ = ()
+
+    @property
+    def edge_count(self):
+        return len(self.keys) + len(self.repeats) - 1
+
+
+def _symbol_table():
+    """``(intern, order)``: ``intern(name, bits)`` is the id of the symbol
+    with that name and characteristic bits, made on its first use, and
+    ``order`` lists the symbols by id, so in first-use order.  The
+    characteristic comes from a table, not from an enum call."""
+    characteristics = tuple(ChildrenCharacteristic)
+    ids = {}
+    order = []
+
+    def intern(name, bits):
+        i = ids.get((name, bits))
+        if i is None:
+            i = ids[name, bits] = len(order)
+            order.append(TerminalSymbol(name, characteristics[bits]))
+        return i
+
+    return intern, order
+
+
+def _read_elements(data, on_start, on_end):
+    """Run expat over ``data`` (bytes, or str as UTF-8) with these element
+    handlers; text, attributes, comments and processing instructions are
+    dropped.  An expat error raises ParseError at its position."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    parser = expat.ParserCreate()
+    parser.StartElementHandler = on_start
+    parser.EndElementHandler = on_end
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as e:
+        raise ParseError(expat.errors.messages[e.code], e.lineno, e.offset) from e
+
+
+def _check_element_count(n):
+    if n < 2:
+        raise UnsupportedInputError(
+            "document has %d element(s); the binary model needs a root "
+            "with at least one child" % n)
+
+
 def parse_xml(data) -> BinaryTree:
     """Parse XML bytes into the binary tree of its element structure.
 
-    Text, attributes, comments and processing instructions are dropped;
-    only element start/end events matter.  A start event makes a node and
+    Only element start/end events matter.  A start event makes a node and
     links it at once: an element's first child hangs from the element's
     node, a later child from its previous sibling's.  Both are the node on
     top of a stack of unlabeled nodes, one slot per open element and per
     closed child of an open element.  A node is labeled once its parent's
     end tag is seen, because only then is it known whether it has a next
     sibling; until then its label slot holds the characteristic bits its
-    links have set so far.  Symbols are interned in first-use order, by
-    name and bits, with the characteristic looked up in a table (no enum
-    call per element).  The root's symbol is interned at its start tag,
-    as it never has a next sibling, so it is the first symbol in the order.
+    links have set so far.  An end tag labels the closed element's
+    children last to first, and each child's own subtree was labeled at
+    the child's end tag, so nodes are labeled in binary postorder (the
+    root last).  Symbols are interned in first-use order, by name and
+    bits; the root's symbol is interned at its start tag, as it never has
+    a next sibling, so it is the first symbol in the order.
+    ``parse_xml_classes`` reads the same events into subtree classes
+    instead of nodes.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-
     tree = Tree()
     labels, parents, pindex, children = tree.labels, tree.parents, tree.pindex, tree.children
-    characteristics = tuple(ChildrenCharacteristic)
-    alphabet = {}
-    order = []
-
-    def intern(name, bits):
-        sym = alphabet.get((name, bits))
-        if sym is None:
-            sym = alphabet[name, bits] = TerminalSymbol(name, characteristics[bits])
-            order.append(sym)
-        return sym
+    intern, order = _symbol_table()
 
     unlabeled = []
     names = []    # the element name of each unlabeled node
@@ -301,7 +352,7 @@ def parse_xml(data) -> BinaryTree:
             parents.append(v)
             pindex.append(len(kids))
         else:
-            intern(name, ChildrenCharacteristic.NO_RIGHT_CHILD)
+            intern(name, 0b10)
             parents.append(-1)
             pindex.append(0)
         labels.append(0)
@@ -313,25 +364,72 @@ def parse_xml(data) -> BinaryTree:
     def on_end(name):
         for _ in range(counts.pop()):
             v = unlabeled.pop()
-            labels[v] = intern(names.pop(), labels[v])
+            labels[v] = order[intern(names.pop(), labels[v])]
 
-    parser = expat.ParserCreate()
-    parser.StartElementHandler = on_start
-    parser.EndElementHandler = on_end
-    try:
-        parser.Parse(data, True)
-    except expat.ExpatError as e:
-        raise ParseError(expat.errors.messages[e.code], e.lineno, e.offset) from e
-
-    if len(labels) < 2:
-        raise UnsupportedInputError(
-            "document has %d element(s); the binary model needs a root "
-            "with at least one child" % len(labels))
-
+    _read_elements(data, on_start, on_end)
+    _check_element_count(len(labels))
     root = unlabeled.pop()
     labels[root] = order[0]
     assert not unlabeled and not counts
     return BinaryTree(tree, root, order)
+
+
+def parse_xml_classes(data) -> SubtreeClasses:
+    """Parse XML bytes into the subtree classes of its binary tree, making
+    no node: the events of ``parse_xml``, with each node's class computed
+    where ``parse_xml`` labels it, so classes are sighted in binary
+    postorder.
+
+    A node's binary subtree is its symbol over the subtrees of its first
+    child and of its next sibling, so its class is keyed on its name and
+    those two children's classes (None for a missing child); the name and
+    which children exist give the symbol.  Per open element a list holds
+    each closed child's name and the class of its first child.  At the
+    end tag the children are keyed last to first, each with the class of
+    the one after it as its next sibling, and the first child's class
+    goes to the list of the parent.  Symbols are interned in the order
+    ``parse_xml`` interns them (a symbol's first use is always a new
+    class), so ``terminal_order`` is the same.  The keys hold only names,
+    ints and None, so the garbage collector stops tracking them.
+    """
+    intern, order = _symbol_table()
+    table = {}     # (name, first-child class, next-sibling class) -> class id
+    keys = []
+    repeats = []
+    closed = []    # per open element: (name, first-child class) of each closed child
+    get, sighted = table.get, repeats.append
+
+    def on_start(name, attrs):
+        if not closed:
+            intern(name, 0b10)
+        closed.append([])
+
+    def on_end(name):
+        kids = closed.pop()
+        c = None   # the next sibling's class
+        if kids:
+            for kid, first in reversed(kids):
+                key = kid, first, c
+                d = get(key)
+                if d is None:
+                    d = table[key] = len(keys)
+                    if first is None:
+                        keys.append((intern(kid, 0b00),) if c is None
+                                    else (intern(kid, 0b01), c))
+                    else:
+                        keys.append((intern(kid, 0b10), first) if c is None
+                                    else (intern(kid, 0b11), first, c))
+                else:
+                    sighted(d)
+                c = d
+        if closed:
+            closed[-1].append((name, c))
+        else:   # the root, interned first
+            keys.append((0,) if c is None else (0, c))
+
+    _read_elements(data, on_start, on_end)
+    _check_element_count(len(keys) + len(repeats))
+    return SubtreeClasses(keys, order, repeats, order)
 
 
 def element_children(tree, v):

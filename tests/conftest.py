@@ -4,6 +4,8 @@ import os
 import random
 import sys
 
+import pytest
+
 # The reference oracles and spec builders in tests/ recurse once per node.
 # The library must not: TestDefaultRecursionLimit checks it at the default.
 sys.setrecursionlimit(60000)
@@ -26,6 +28,16 @@ BOOKS_VALUES = (
     + [("c2", 6), ("c2", 8), ("c2", 7)]
     + [("c1", v) for v in (1, 9, 9, 9, 9, 5, 8)]
 )
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def subprocess_env(**extra):

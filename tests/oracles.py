@@ -12,7 +12,8 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from treerepair import (PARAMETER, BinaryTree, ChildrenCharacteristic, DecodeError,
-                        Nonterminal, Tree, decode, decompress_tree, serialize_xml)
+                        Nonterminal, SlcfGrammar, Tree, decode, decompress_tree,
+                        serialize_xml)
 from treerepair.digram_index import END
 
 
@@ -79,6 +80,38 @@ def postorder_nodes(tree, root):
 
     rec(root)
     return out
+
+
+def dag_grammar_by_sharing(bt):
+    """The minimal-DAG grammar of ``bt`` the long way round, in its arena.
+
+    Each node's subtree is keyed by its preorder label sequence.  In
+    postorder, the second non-leaf node of a key moves the first one's
+    subtree into a fresh rank-0 production, and it and every later node
+    of the key become references to it, their children killed.  Then the
+    start production is added and every production referenced once is
+    spliced back.
+    """
+    g = SlcfGrammar(bt.tree, bt.terminal_order)
+    t = g.arena
+    order = postorder_nodes(t, bt.root)
+    key = {v: tuple(t.preorder(v)) for v in order}
+    seen = {}
+    for v in order:
+        if not t.children[v]:
+            continue
+        hit = seen.setdefault(key[v], v)
+        if hit == v:
+            continue
+        if not isinstance(hit, Nonterminal):
+            hit = seen[key[v]] = g.share(hit)
+        for k in t.children[v]:
+            g.kill_node(k)
+        t.children[v] = []
+        g.relabel(v, hit)
+    g.add_production(g.new_nonterminal(0, is_dag=False), bt.root, start=True)
+    g.splice_single_refs()
+    return g
 
 
 def mdag_counts(shape):

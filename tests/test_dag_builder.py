@@ -1,10 +1,16 @@
 """Subtree sharing (minimal-DAG grammar construction)."""
 
-from treerepair import build_dag_grammar, parse_xml
-from treerepair.fixtures import gen_perfect_binary
+import random
 
-from conftest import BOOKS, make_grammar, random_xml, ranked_bt
-from oracles import canonical_text, same_structure, validate_grammar
+import pytest
+
+from treerepair import ParseError, UnsupportedInputError, build_dag_grammar, parse_xml
+from treerepair.dag_builder import dag_grammar
+from treerepair.fixtures import gen_perfect_binary
+from treerepair.xml_tree import parse_xml_classes
+
+from conftest import BOOKS, make_grammar, random_shape, random_xml, ranked_bt, shape_to_xml
+from oracles import canonical_text, dag_grammar_by_sharing, same_structure, validate_grammar
 
 BOOKS_DAG_TEXT = (
     "A_1 -> author^01(title^01(isbn^00))\n"
@@ -83,3 +89,88 @@ class TestCollapse:
             g = build_dag_grammar(parse_xml(data))
             validate_grammar(g)
             assert same_structure(g.unfold_value(), parse_xml(data)), data
+
+
+def grammar_facts(g):
+    """What two builds of one grammar must agree on: the production ids,
+    the start id, the next free id, the canonical text, each production's
+    references as (user id, preorder position) pairs in reference order,
+    and the terminal order."""
+    t = g.arena
+    place = {}
+    for i, nt in g.productions.items():
+        stack = [nt.root]
+        k = 0
+        while stack:
+            v = stack.pop()
+            place[v] = (i, k)
+            k += 1
+            stack += reversed(t.children[v])
+    refs = {i: [place[v] for v in nt.refs] for i, nt in g.productions.items()}
+    return (list(g.productions), g.start_id, g._next_id, canonical_text(g), refs,
+            g.terminal_order)
+
+
+def few_names_xml(seed, max_nodes):
+    rng = random.Random(seed)
+    return shape_to_xml(random_shape(rng, max_nodes, names="ab"))
+
+
+# a repeat nested inside a repeat, and each repeat also on its own
+NESTED_REPEATS = (b"<r>" + b"<a><b><c/><c/></b><b><c/><c/></b><d/></a>" * 3
+                  + b"<b><c/><c/></b><a><b><c/><c/></b><b><c/><c/></b><d/></a></r>")
+
+# inputs for which the binary model's parse fails, or has one element
+BAD_INPUTS = (b"", b"junk", b"<a>", b"<a><b/>", b"<a><b></a>", b"<a/><b/>",
+              b"<a><b/></a><c/>", b"<a/>", b"<a></a>", b"<a>just text</a>")
+
+
+
+class TestSharingWhileParsing:
+    """``dag_grammar(parse_xml_classes(d))`` is the grammar that
+    ``build_dag_grammar(parse_xml(d))`` makes, and that sharing repeats
+    one by one and splicing makes (``dag_grammar_by_sharing``); the class
+    table counts the tree's edges."""
+
+    def check(self, data, by_sharing=True):
+        classes = parse_xml_classes(data)
+        assert classes.edge_count == parse_xml(data).edge_count
+        g = dag_grammar(classes)
+        facts = grammar_facts(g)
+        assert facts == grammar_facts(build_dag_grammar(parse_xml(data)))
+        if by_sharing:
+            assert facts == grammar_facts(dag_grammar_by_sharing(parse_xml(data)))
+        return g
+
+    def test_random_documents(self):
+        for seed in range(60):
+            self.check(random_xml(seed, 20 + 10 * seed))
+            self.check(few_names_xml(seed, 20 + 10 * seed))
+
+    def test_repeat_inside_a_repeat(self):
+        g = self.check(NESTED_REPEATS)
+        validate_grammar(g)
+        # b^11(A_1,d^00) is sighted twice and takes id 1, but stays inline:
+        # its one DAG parent is the b^11 above it
+        assert list(g.productions) == [0, 2, 3]
+        assert canonical_text(g) == (
+            "A_1 -> c^01(c^00)\n"
+            "A_2 -> b^11(A_1,b^11(A_1,d^00))\n"
+            "S -> r^10(a^11(A_2,a^11(A_2,a^11(A_2,b^11(A_1,a^10(A_2))))))")
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_deep_and_wide_documents(self):
+        # too large for the oracle, which keys by preorder and recurses
+        depth = 50_000
+        self.check(b"<a>" * depth + b"</a>" * depth, by_sharing=False)
+        g = self.check(b"<r>" + b"<a><b><c/></b></a>" * 50_000 + b"</r>", by_sharing=False)
+        shared, = (nt for nt in g.productions.values() if nt.is_dag)
+        assert len(shared.refs) == 50_000
+
+    def test_bad_inputs_raise_the_same_errors(self):
+        for data in BAD_INPUTS:
+            with pytest.raises((ParseError, UnsupportedInputError)) as want:
+                parse_xml(data)
+            with pytest.raises(type(want.value)) as got:
+                parse_xml_classes(data)
+            assert str(got.value) == str(want.value), data

@@ -5,7 +5,10 @@ byte-identical; this test checks that on a spread of inputs under every
 flag combination, and that each stream decodes to a grammar that encodes
 back to it.  A second digest pins what the decoder makes of mutated
 streams, so a decoder refactor keeps every grammar, every error message
-and the order in which the errors fire.  A deliberate change of the
+and the order in which the errors fire.  The digests are taken through
+``compress_tree``; a third test checks that ``compress_xml_bytes``, which
+shares subtrees while parsing, writes the same streams from the XML
+inputs.  A deliberate change of the
 grammars or of the stream layout re-pins the digests: run this file as
 a script (``PYTHONPATH=src python tests/test_golden_streams.py``) and
 paste its output over ``GOLDEN`` and ``MUTANTS_GOLDEN``.
@@ -16,18 +19,23 @@ import random
 
 import pytest
 
-from treerepair import DecodeError, compress_tree, decode, encode, parse_xml
+from treerepair import (DecodeError, compress_tree, compress_xml_bytes, decode, encode,
+                        parse_xml)
 from treerepair.fixtures import gen_M, gen_U
 
 from conftest import BOOKS, random_xml
 from oracles import canonical_text
 
+XML_INPUTS = {
+    "books": lambda: BOOKS,
+    "random-0": lambda: random_xml(0, 400),
+    "random-1": lambda: random_xml(1, 400),
+    "random-2": lambda: random_xml(2, 400),
+    "random-3": lambda: random_xml(3, 400),
+}
+
 INPUTS = {
-    "books": lambda: parse_xml(BOOKS),
-    "random-0": lambda: parse_xml(random_xml(0, 400)),
-    "random-1": lambda: parse_xml(random_xml(1, 400)),
-    "random-2": lambda: parse_xml(random_xml(2, 400)),
-    "random-3": lambda: parse_xml(random_xml(3, 400)),
+    **{name: lambda make=make: parse_xml(make()) for name, make in XML_INPUTS.items()},
     "M3": lambda: gen_M(3),
     "U10": lambda: gen_U(10),
 }
@@ -72,6 +80,13 @@ def test_streams_match_the_pinned_digests(name):
     # the decoder reads back the grammar the encoder wrote
     for blob in blobs:
         assert encode(decode(blob)) == blob
+
+
+@pytest.mark.parametrize("name", sorted(XML_INPUTS))
+def test_xml_path_writes_the_tree_path_streams(name):
+    xml = XML_INPUTS[name]()
+    for combo in COMBOS:
+        assert compress_xml_bytes(xml, *combo) == compress_tree(parse_xml(xml), *combo), combo
 
 
 def mutant_outcomes_digest():

@@ -31,8 +31,10 @@ from treerepair import (
     parse_xml,
     serialize_xml,
 )
+from treerepair.dag_builder import dag_grammar
 from treerepair.fixtures import gen_M, gen_perfect_binary, gen_U
 from treerepair.pipeline import DEFAULT_NODE_CAP
+from treerepair.xml_tree import parse_xml_classes
 
 from conftest import BOOKS, random_xml, subprocess_env
 from oracles import binary_shape, canonical_text, decompress_bytes_by_unfolding
@@ -285,16 +287,6 @@ class TestDerivedRoot:
         assert time.perf_counter() - started < 0.5
 
 
-@pytest.fixture
-def default_recursion_limit():
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 @pytest.mark.usefixtures("default_recursion_limit")
 class TestDefaultRecursionLimit:
     def test_deep_grammar_renders(self):
@@ -406,8 +398,9 @@ def profiled_calls(run):
 
 class TestPrimitiveCalls:
     """Call counts, not wall time: symbols hash and compare in C, parsing
-    labels a node without calling the characteristic enum, and decoding
-    and unfolding build nodes from preorders, not one call per node."""
+    labels a node without calling the characteristic enum, decoding and
+    unfolding build nodes from preorders, not one call per node, and
+    sharing while parsing rewrites no node."""
 
     def test_symbols_have_no_python_level_hash_or_equality(self):
         def run():
@@ -441,3 +434,25 @@ class TestPrimitiveCalls:
         # the check sees such calls
         assert node_calls(lambda: SlcfGrammar(Tree(), []).new_node(PARAMETER)) == {
             ("slcf_grammar.py", "new_node"): 1, ("xml_tree.py", "new_node"): 1}
+
+    def test_sharing_while_parsing_rewrites_no_node(self):
+        def grammar_calls(run):
+            return {(os.path.basename(path), name): n
+                    for (path, name), n in profiled_calls(run).items()
+                    if path.startswith(package)
+                    and name in ("share", "kill_node", "relabel", "eliminate", "new_node")}
+
+        package = os.path.dirname(treerepair.__file__)
+        data = random_xml(5, 3000)
+        built = []
+        assert grammar_calls(lambda: built.append(dag_grammar(parse_xml_classes(data)))) == {}
+        g, = built
+        assert g.nonterminal_count > 5  # subtrees were shared
+        # no dead node: every node is on some production's rhs
+        assert sum(g.arena.node_count(nt.root) for nt in g.productions.values()) == len(g.arena)
+        assert None not in g.arena.labels
+        # the check sees such calls
+        g = SlcfGrammar.from_tree(parse_xml(BOOKS))
+        assert grammar_calls(lambda: g.share(g.arena.children[g.start().root][0])) == {
+            ("slcf_grammar.py", "share"): 1, ("slcf_grammar.py", "new_node"): 1,
+            ("xml_tree.py", "new_node"): 1, ("slcf_grammar.py", "relabel"): 1}

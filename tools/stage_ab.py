@@ -15,19 +15,31 @@ one child interpreter with ``PYTHONPATH=OLD_SRC`` and one with
 Each child compresses each input once through the public stage functions,
 with the same arguments as ``pipeline.compress_xml_bytes``, then
 decompresses its own stream as ``pipeline.decompress_bytes`` does.  It
-reports the wall time of parse, share, index, replace, prune and encode,
-of decode and write_xml, and a digest of the stream and the XML.
+reports the wall time of each stage and a digest of the stream and the
+XML.  The stages are:
 
-It prints, per workload and stage and for the compress and the
-decompress sums, the minimum and median seconds of each side and in how
-many pairs the new side was lower, and whether the two sides wrote the
-same streams and XML.  It exits 1 if they did not.  It needs no network
-and is not part of the test suite.
+- ``parse`` and ``share``: ``parse_xml`` and ``build_dag_grammar``, the
+  staged path of the bench;
+- ``parse+share``: ``dag_grammar(parse_xml_classes(data))``, which
+  ``compress_xml_bytes`` runs, on a side that shares subtrees while
+  parsing, and the sum of ``parse`` and ``share`` on a side that does
+  not;
+- ``index``, ``replace``, ``prune`` and ``encode`` on the grammar of
+  ``parse+share``;
+- ``decode`` and ``write_xml``, after the compress objects are dropped
+  and collected, as if in a process of their own.
+
+It prints, per workload and stage and for the compress sum (``parse+share``
+to ``encode``) and the decompress sum, the minimum and median seconds of
+each side and in how many pairs the new side was lower, and whether the
+two sides wrote the same streams and XML.  It exits 1 if they did not.
+It needs no network and is not part of the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -39,7 +51,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
-COMPRESS = ("parse", "share", "index", "replace", "prune", "encode")
+STAGED = ("parse", "share")
+COMPRESS = ("parse+share", "index", "replace", "prune", "encode")
 DECOMPRESS = ("decode", "write_xml")
 
 
@@ -71,7 +84,7 @@ def make_jobs(workloads, inputs, names, directory):
 def worker(jobs):
     """Print, as JSON, each job's stage seconds and output digest."""
     from treerepair import (build_dag_grammar, build_index, decode, encode, parse_xml,
-                            prune, run_replacement_step, succinct_decoder)
+                            prune, run_replacement_step, succinct_decoder, xml_tree)
     from treerepair.pipeline import OPTIMIZE_THRESHOLDS
     from treerepair.slcf_grammar import DEFAULT_NODE_CAP
 
@@ -79,29 +92,49 @@ def worker(jobs):
     # census to write_xml
     decode_with_census = getattr(succinct_decoder, "decode_with_census",
                                  lambda stream: (decode(stream), None))
+    # a source tree that does not share while parsing shares the parsed tree
+    if hasattr(xml_tree, "parse_xml_classes"):
+        from treerepair.dag_builder import dag_grammar
+
+        def parse_and_share(data):
+            classes = xml_tree.parse_xml_classes(data)
+            return dag_grammar(classes), classes.edge_count
+    else:
+        parse_and_share = None
 
     out = {}
     for name, (path, max_rank, optimize) in jobs.items():
         with open(path, "rb") as fh:
             data = fh.read()
-        times = []
+        times = {}
         clock = time.perf_counter
 
-        def stage(fn, *args, **kwargs):
+        def stage(label, fn, *args, **kwargs):
             t0 = clock()
             result = fn(*args, **kwargs)
-            times.append(clock() - t0)
+            times[label] = clock() - t0
             return result
 
-        bt = stage(parse_xml, data)
+        bt = stage("parse", parse_xml, data)
         n_edges = bt.edge_count
-        g = stage(build_dag_grammar, bt)
-        idx = stage(build_index, g, n_edges=n_edges, max_rank=max_rank)
-        stage(run_replacement_step, g, idx)
-        stage(prune, g, OPTIMIZE_THRESHOLDS[optimize])
-        stream = stage(encode, g)
-        decoded, census = stage(decode_with_census, stream)
-        xml = stage(decoded.write_xml, *() if census is None else (DEFAULT_NODE_CAP, census))
+        g = stage("share", build_dag_grammar, bt)
+        del bt  # the later stages run on a heap that holds one grammar
+        if parse_and_share is None:
+            times["parse+share"] = times["parse"] + times["share"]
+        else:
+            del g
+            g, n_edges = stage("parse+share", parse_and_share, data)
+        idx = stage("index", build_index, g, n_edges=n_edges, max_rank=max_rank)
+        stage("replace", run_replacement_step, g, idx)
+        stage("prune", prune, g, OPTIMIZE_THRESHOLDS[optimize])
+        stream = stage("encode", encode, g)
+        # decompress as in a process of its own: without the compress
+        # objects, and with no collection left pending by them
+        del g, idx
+        gc.collect()
+        decoded, census = stage("decode", decode_with_census, stream)
+        xml = stage("write_xml", decoded.write_xml,
+                    *() if census is None else (DEFAULT_NODE_CAP, census))
         out[name] = {"s": times, "sha256": hashlib.sha256(stream + xml).hexdigest()}
     print(json.dumps(out))
 
@@ -118,19 +151,23 @@ def run_side(src, jobs):
 
 def report(runs, names):
     """Print the table; returns True if both sides wrote the same outputs."""
-    print("%-15s %-10s %9s %9s %9s %9s %6s"
+    print("%-15s %-11s %9s %9s %9s %9s %6s"
           % ("workload", "stage", "old min", "old med", "new min", "new med", "lower"))
     same = True
-    cut = len(COMPRESS)
+    rows = STAGED + COMPRESS + ("compress",) + DECOMPRESS + ("decompress",)
     for name in names:
-        rows = {side: [s[:cut] + [sum(s[:cut])] + s[cut:] + [sum(s[cut:])]
-                       for s in (r[name]["s"] for r in runs[side])]
-                for side in ("old", "new")}
-        for k, stage in enumerate(COMPRESS + ("compress",) + DECOMPRESS + ("decompress",)):
-            old = [r[k] for r in rows["old"]]
-            new = [r[k] for r in rows["new"]]
+        seconds = {side: [] for side in runs}
+        for side, side_runs in runs.items():
+            for r in side_runs:
+                s = r[name]["s"]
+                s["compress"] = sum(s[k] for k in COMPRESS)
+                s["decompress"] = sum(s[k] for k in DECOMPRESS)
+                seconds[side].append(s)
+        for stage in rows:
+            old = [s[stage] for s in seconds["old"]]
+            new = [s[stage] for s in seconds["new"]]
             lower = sum(n < o for o, n in zip(old, new))
-            print("%-15s %-10s %9.4f %9.4f %9.4f %9.4f %3d/%-2d"
+            print("%-15s %-11s %9.4f %9.4f %9.4f %9.4f %3d/%-2d"
                   % (name, stage, min(old), statistics.median(old),
                      min(new), statistics.median(new), lower, len(old)))
         digests = {r[name]["sha256"] for side in runs.values() for r in side}
