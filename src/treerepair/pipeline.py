@@ -11,12 +11,12 @@ them.
 from __future__ import annotations
 
 import time
-from collections import Counter
 
 from .xml_tree import (BinaryTree, UnsupportedInputError, element_children,
                        parse_xml, parse_xml_classes)
 from .slcf_grammar import DEFAULT_NODE_CAP, GrammarError, SlcfGrammar
-from .dag_builder import dag_grammar, hash_cons, tree_classes
+from .dag_builder import (dag_edges, dag_grammar, hash_cons, shared_classes,
+                          tree_classes, tree_dag_grammar)
 from .digram_index import build_index
 from .replacer import run_replacement_step
 from .pruner import EDGES_THRESHOLD, FILESIZE_THRESHOLD, prune
@@ -46,18 +46,21 @@ def _reduce(g, n_edges, max_rank, optimize):
     return g
 
 
-def _from_classes(classes, max_rank, optimize):
-    return _reduce(dag_grammar(classes), classes.edge_count, max_rank, optimize)
+def _tree_grammar(bt, max_rank, optimize, use_dag, hashed=None):
+    """``build_grammar`` after its flag check; ``hashed`` is
+    ``tree_classes(bt)`` if made already."""
+    if not use_dag:
+        return _reduce(SlcfGrammar.from_tree(bt), None, max_rank, optimize)
+    classes, nodes, cls = hashed or tree_classes(bt)
+    return _reduce(tree_dag_grammar(bt, classes, nodes, cls), classes.edge_count,
+                   max_rank, optimize)
 
 
 def build_grammar(bt: BinaryTree, max_rank=4, optimize="filesize",
                   use_dag=True) -> SlcfGrammar:
-    """Run the grammar construction on a tree (without ``use_dag``, the
-    grammar adopts its arena)."""
+    """Run the grammar construction on a tree (consumes its arena)."""
     check_flags(max_rank, optimize)
-    if use_dag:
-        return _from_classes(tree_classes(bt), max_rank, optimize)
-    return _reduce(SlcfGrammar.from_tree(bt), None, max_rank, optimize)
+    return _tree_grammar(bt, max_rank, optimize, use_dag)
 
 
 def compress_tree(bt: BinaryTree, max_rank=4, optimize="filesize",
@@ -71,7 +74,8 @@ def compress_xml_bytes(data, max_rank=4, optimize="filesize",
     parsing (``parse_xml_classes``) and no tree is made."""
     check_flags(max_rank, optimize)
     if use_dag:
-        return encode(_from_classes(parse_xml_classes(data), max_rank, optimize))
+        classes = parse_xml_classes(data)
+        return encode(_reduce(dag_grammar(classes), classes.edge_count, max_rank, optimize))
     return compress_tree(parse_xml(data), max_rank, optimize, use_dag)
 
 
@@ -93,20 +97,6 @@ def decompress_bytes(data: bytes, node_cap=DEFAULT_NODE_CAP) -> bytes:
         raise DecodeError(str(exc)) from None
 
 
-def _mdag_sizes(nodes, kids, labels):
-    """Sizes of the minimal DAG of a tree, by ``hash_cons`` over its
-    ``nodes`` listed children before parents.
-
-    Returns the DAG's node count, its edge count and the number of its
-    non-leaf nodes with in-degree two or more (the subtrees a DAG grammar
-    needs a production for).
-    """
-    keys, _, _ = hash_cons(nodes, kids, labels)
-    indegree = Counter(d for _, *ks in keys for d in ks)
-    shared = sum(1 for i, key in enumerate(keys) if len(key) > 1 and indegree[i] >= 2)
-    return len(keys), sum(indegree.values()), shared
-
-
 def gather_stats(data, max_rank=4, optimize="filesize", use_dag=True) -> dict:
     """Compress XML bytes and report size measures of every stage.
 
@@ -116,25 +106,24 @@ def gather_stats(data, max_rank=4, optimize="filesize", use_dag=True) -> dict:
     started = time.perf_counter()
     check_flags(max_rank, optimize)
     bt = parse_xml(data)
+    # the binary DAG's figures come from the classes the grammar is built from
+    hashed = classes, nodes, _ = tree_classes(bt)
     stats = {
         "input bytes": len(data),
-        "binary tree edges": bt.edge_count,
+        "binary tree edges": classes.edge_count,
+        "binary mdag edges": dag_edges(classes.keys),
+        "binary mdag nonterminals": 1 + len(shared_classes(classes.keys)),  # and the start
     }
 
+    # element children are binary descendants: the one postorder serves both
     t = bt.tree
-    # element children are binary descendants: one postorder serves both
-    order = list(t.iter_postorder(bt.root))
-    _, edges, shared = _mdag_sizes(order, t.children, t.labels)
-    stats["binary mdag edges"] = edges
-    stats["binary mdag nonterminals"] = 1 + shared  # the start production
-
     element_kids = [element_children(t, v) for v in range(len(t))]
     names = [label.name for label in t.labels]
-    nodes, edges, _ = _mdag_sizes(order, element_kids, names)
-    stats["unranked mdag edges"] = edges
-    stats["unranked mdag nodes"] = nodes
+    _, keys, _ = hash_cons(nodes, element_kids, names, {})
+    stats["unranked mdag edges"] = dag_edges(keys)
+    stats["unranked mdag nodes"] = len(keys)
 
-    g = build_grammar(bt, max_rank, optimize, use_dag)
+    g = _tree_grammar(bt, max_rank, optimize, use_dag, hashed)
     out = encode(g)
     stats["grammar edges"] = g.grammar_size()
     stats["grammar nonterminals"] = g.nonterminal_count

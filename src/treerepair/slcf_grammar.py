@@ -266,9 +266,7 @@ class SlcfGrammar:
         the root's children (a splice), any earlier ones copies of them,
         built from the rhs's preorder.  With a single reference this moves
         nodes without copying, so reference counts of all other
-        nonterminals are unchanged.  A copy's parameter leaves are its
-        nodes at the positions of ``y`` in that preorder, counted from
-        its first node, so only the spliced rhs is walked for them.
+        nonterminals are unchanged.
         """
         if nt.id == self.start_id:
             raise GrammarError("cannot eliminate the start production")
@@ -280,26 +278,17 @@ class SlcfGrammar:
         ref_nodes = list(nt.refs)
         if len(ref_nodes) > 1:
             below_root = t.preorder(root)[1:]
-            if nt.rank:
-                holes = [k for k, y in enumerate(below_root) if y is PARAMETER]
-                assert len(holes) == nt.rank
         for k, r in enumerate(ref_nodes):
             args = t.children[r]
             self.relabel(r, label)
             if k == len(ref_nodes) - 1:
                 kids = t.children[root]
                 t.children[root] = []  # kill clears the list in place
-                t.set_children(r, kids)
-                if nt.rank:
-                    self._substitute_parameters(r, args)
             else:
-                first = len(t.labels)
-                t.set_children(r, self.new_tree(below_root))
-                if nt.rank:
-                    for y, arg in zip(holes, args):
-                        v = first + y
-                        t.put(t.parents[v], t.pindex[v], arg)
-                        t.kill(v)
+                kids = self.new_tree(below_root)
+            t.set_children(r, kids)
+            if nt.rank:
+                self._substitute_parameters(r, args)
         self.kill_node(root)
 
     def splice_single_refs(self):

@@ -253,16 +253,16 @@ class BinaryTree:
         return self.tree.node_count(self.root)
 
 
-class SubtreeClasses(namedtuple("SubtreeClasses", "keys labels repeats terminal_order")):
+class SubtreeClasses(namedtuple("SubtreeClasses", "keys repeats terminal_order")):
     """The equality classes of a binary tree's subtrees: what
     ``dag_builder.dag_grammar`` builds the minimal-DAG grammar from.
 
     Class ids follow first sighting in binary postorder (children before
     parents, left to right), so a child's class id is below its parent's
     and the root's class is the last.  ``keys[c]`` is ``(label id, *child
-    class ids)``, and ``labels[i]`` is the label of id i.  ``repeats``
-    lists, in postorder, the class of every sighting after a class's
-    first, so the tree has ``len(keys) + len(repeats)`` nodes.
+    class ids)``, a label's id being its place in ``terminal_order``.
+    ``repeats`` lists, in postorder, the class of every sighting after a
+    class's first, so the tree has ``len(keys) + len(repeats)`` nodes.
     """
 
     __slots__ = ()
@@ -429,7 +429,7 @@ def parse_xml_classes(data) -> SubtreeClasses:
 
     _read_elements(data, on_start, on_end)
     _check_element_count(len(keys) + len(repeats))
-    return SubtreeClasses(keys, order, repeats, order)
+    return SubtreeClasses(keys, repeats, order)
 
 
 def element_children(tree, v):

@@ -20,6 +20,7 @@ from treerepair import (
     SlcfGrammar,
     TerminalSymbol,
     Tree,
+    build_dag_grammar,
     build_grammar,
     compress_tree,
     compress_xml_bytes,
@@ -396,11 +397,22 @@ def profiled_calls(run):
     return calls
 
 
+def _grammar_calls(run):
+    """The package's calls to the node-rewriting grammar primitives in
+    ``run``, by file and name."""
+    package = os.path.dirname(treerepair.__file__)
+    return {(os.path.basename(path), name): n
+            for (path, name), n in profiled_calls(run).items()
+            if path.startswith(package)
+            and name in ("share", "kill_node", "relabel", "eliminate", "new_node")}
+
+
 class TestPrimitiveCalls:
     """Call counts, not wall time: symbols hash and compare in C, parsing
     labels a node without calling the characteristic enum, decoding and
-    unfolding build nodes from preorders, not one call per node, and
-    sharing while parsing rewrites no node."""
+    unfolding build nodes from preorders, not one call per node, sharing
+    while parsing rewrites no node, and sharing in a tree makes a node per
+    shared production only."""
 
     def test_symbols_have_no_python_level_hash_or_equality(self):
         def run():
@@ -436,16 +448,9 @@ class TestPrimitiveCalls:
             ("slcf_grammar.py", "new_node"): 1, ("xml_tree.py", "new_node"): 1}
 
     def test_sharing_while_parsing_rewrites_no_node(self):
-        def grammar_calls(run):
-            return {(os.path.basename(path), name): n
-                    for (path, name), n in profiled_calls(run).items()
-                    if path.startswith(package)
-                    and name in ("share", "kill_node", "relabel", "eliminate", "new_node")}
-
-        package = os.path.dirname(treerepair.__file__)
         data = random_xml(5, 3000)
         built = []
-        assert grammar_calls(lambda: built.append(dag_grammar(parse_xml_classes(data)))) == {}
+        assert _grammar_calls(lambda: built.append(dag_grammar(parse_xml_classes(data)))) == {}
         g, = built
         assert g.nonterminal_count > 5  # subtrees were shared
         # no dead node: every node is on some production's rhs
@@ -453,6 +458,22 @@ class TestPrimitiveCalls:
         assert None not in g.arena.labels
         # the check sees such calls
         g = SlcfGrammar.from_tree(parse_xml(BOOKS))
-        assert grammar_calls(lambda: g.share(g.arena.children[g.start().root][0])) == {
+        assert _grammar_calls(lambda: g.share(g.arena.children[g.start().root][0])) == {
             ("slcf_grammar.py", "share"): 1, ("slcf_grammar.py", "new_node"): 1,
             ("xml_tree.py", "new_node"): 1, ("slcf_grammar.py", "relabel"): 1}
+
+    def test_sharing_in_a_tree_makes_a_node_per_shared_production(self):
+        # a fresh leaf for each production's first sighting, nothing else
+        bt = parse_xml(random_xml(5, 3000))
+        built = []
+        calls = _grammar_calls(lambda: built.append(build_dag_grammar(bt)))
+        g, = built
+        assert g.nonterminal_count > 5  # subtrees were shared
+        assert calls == {("xml_tree.py", "new_node"): g.nonterminal_count - 1}
+        # nothing shared: no node is touched
+        bt = gen_U(10)
+        t = bt.tree
+        before = list(t.labels), [list(kids) for kids in t.children], list(t.parents)
+        assert _grammar_calls(lambda: built.append(build_dag_grammar(bt))) == {}
+        assert built[-1].nonterminal_count == 1
+        assert (t.labels, t.children, t.parents) == before
