@@ -6,7 +6,7 @@ its children's classes (hash-consing: Downey, Sethi & Tarjan, J. ACM
 binary postorder: ``xml_tree.parse_xml_classes`` while it parses, making
 no node (Buneman, Grohe & Koch, *Path queries on compressed XML*, VLDB
 2003, build the minimal DAG of an XML skeleton in one SAX pass), and
-``hash_cons`` over the postorder of a tree that exists (``tree_classes``).
+``tree_classes`` over the postorder of a tree that exists.
 ``dag_grammar`` makes the grammar from the class table alone, in a fresh
 arena; ``tree_dag_grammar`` makes the same grammar of the tree's own
 nodes, touching only the occurrences of shared classes.  Both number the
@@ -35,14 +35,17 @@ from .slcf_grammar import SlcfGrammar
 _child_classes = itemgetter(slice(1, None))
 
 
-def hash_cons(nodes, kids, labels, label_ids):
-    """Equality classes of the subtrees at ``nodes`` (children before
-    parents; ``kids`` and ``labels`` are lists indexed by node):
-    ``(cls, keys, repeats)``, with ``cls[v]`` v's class and ``keys`` and
-    ``repeats`` as in ``SubtreeClasses``.  ``label_ids`` maps labels to
-    their ids 0, 1, ..; a label it lacks takes the next id.  Class ids
-    follow first sighting, never hash order; keys hold only ints, so the
-    garbage collector stops tracking them."""
+def tree_classes(bt: BinaryTree):
+    """The subtree classes of ``bt``, keyed over its postorder, labels by
+    their place in ``bt.terminal_order`` (a label it lacks takes the next
+    id): ``(classes, nodes, cls)``, with ``nodes`` the postorder and
+    ``cls[v]`` node v's class.  Class ids follow first sighting, never
+    hash order; keys hold only ints, so the garbage collector stops
+    tracking them."""
+    t = bt.tree
+    labels, kids = t.labels, t.children
+    nodes = list(t.iter_postorder(bt.root))
+    label_ids = {label: i for i, label in enumerate(bt.terminal_order)}
     cls = [0] * len(labels)
     table = {}
     repeats = []
@@ -52,19 +55,7 @@ def hash_cons(nodes, kids, labels, label_ids):
         c = cls[v] = add((label_id(labels[v], len(label_ids)), *map(get, kids[v])), n)
         if c != n:
             sighted(c)
-    return cls, list(table), repeats
-
-
-def tree_classes(bt: BinaryTree):
-    """The subtree classes of ``bt`` by ``hash_cons`` over its postorder,
-    labels keyed by their place in ``bt.terminal_order``:
-    ``(classes, nodes, cls)``, with ``nodes`` the postorder and ``cls``
-    each node's class."""
-    t = bt.tree
-    nodes = list(t.iter_postorder(bt.root))
-    label_ids = {label: i for i, label in enumerate(bt.terminal_order)}
-    cls, keys, repeats = hash_cons(nodes, t.children, t.labels, label_ids)
-    return SubtreeClasses(keys, repeats, bt.terminal_order), nodes, cls
+    return SubtreeClasses(list(table), repeats, bt.terminal_order), nodes, cls
 
 
 def dag_edges(keys):

@@ -431,19 +431,3 @@ def parse_xml_classes(data) -> SubtreeClasses:
     _check_element_count(len(keys) + len(repeats))
     return SubtreeClasses(keys, repeats, order)
 
-
-def element_children(tree, v):
-    """v's element children: its first child, then that child's next
-    siblings along the first-child/next-sibling chain.
-
-    A first child sits in slot 0 and a next sibling in the last slot; the
-    high and the low bit of a label's characteristic say whether each one
-    is there (bit tests: no call per node).
-    """
-    labels, children = tree.labels, tree.children
-    if not labels[v].characteristic & 0b10:
-        return []
-    out = [children[v][0]]
-    while labels[out[-1]].characteristic & 0b01:
-        out.append(children[out[-1]][-1])
-    return out

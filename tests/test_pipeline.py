@@ -1,7 +1,9 @@
-"""End-to-end pipeline: flag combinations, caps, and stage statistics."""
+"""End-to-end pipeline: flag combinations, caps, stage statistics and work
+per input node."""
 
 import cProfile
 import enum
+import importlib.util
 import os
 import pstats
 import subprocess
@@ -334,10 +336,25 @@ class TestStats:
 
     def test_stats_match_actual_compression(self):
         data = random_xml(7, max_nodes=120)
-        stats = gather_stats(data, max_rank=2, optimize="edges", use_dag=False)
-        blob = compress_xml_bytes(data, max_rank=2, optimize="edges", use_dag=False)
-        assert stats["output bytes"] == len(blob)
-        assert stats["input bytes"] == len(data)
+        for flags in ALL_COMBOS:
+            stats = gather_stats(data, *flags)
+            blob = compress_xml_bytes(data, *flags)
+            assert stats["output bytes"] == len(blob), flags
+            assert stats["grammar edges"] == decode(blob).grammar_size(), flags
+            assert stats["input bytes"] == len(data)
+
+    def test_stats_share_while_parsing(self):
+        # with sharing on, stats reads the classes as compress does: no tree
+        def parses(run):
+            return {name: n for (path, name), n in profiled_calls(run).items()
+                    if path.startswith(package)
+                    and name in ("parse_xml", "parse_xml_classes", "tree_classes")}
+
+        package = os.path.dirname(treerepair.__file__)
+        assert parses(lambda: gather_stats(BOOKS)) == {"parse_xml_classes": 1}
+        # the check sees a tree being made and hash-consed
+        assert parses(lambda: gather_stats(BOOKS, use_dag=False)) == {
+            "parse_xml": 1, "tree_classes": 1}
 
 
 class TestDeterminism:
@@ -477,3 +494,48 @@ class TestPrimitiveCalls:
         assert _grammar_calls(lambda: built.append(build_dag_grammar(bt))) == {}
         assert built[-1].nonterminal_count == 1
         assert (t.labels, t.children, t.parents) == before
+
+
+def _bench_inputs():
+    """``bench/inputs.py``, the bench's seeded document makers."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", os.path.join(root, "bench", "inputs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWorkPerNode:
+    """The linear-time claim as call counts, which do not depend on the
+    host: the Python and builtin calls (cProfile) that compressing and
+    then decompressing make per input node do not grow when the input
+    doubles.  Per node they fall slowly with size; at rank infinity the M
+    shape's count swings with depth parity, so depth d is compared with
+    d + 2."""
+
+    @staticmethod
+    def tree_work(bt):
+        return (lambda: decompress_tree(compress_tree(bt))), bt.node_count
+
+    @staticmethod
+    def xml_work(data, max_rank):
+        return ((lambda: decompress_bytes(compress_xml_bytes(data, max_rank))),
+                parse_xml(data).node_count)
+
+    @pytest.mark.parametrize("family", ["gen_U", "mtree rank 4", "mtree rank inf",
+                                        "records"])
+    def test_calls_per_node_do_not_grow(self, family):
+        inputs = _bench_inputs()
+        work, small, large = {
+            "gen_U": (lambda n: self.tree_work(gen_U(n)), 11, 12),
+            "mtree rank 4": (lambda d: self.xml_work(inputs.mtree(d), 4), 9, 10),
+            "mtree rank inf": (lambda d: self.xml_work(inputs.mtree(d), None), 10, 12),
+            "records": (lambda kb: self.xml_work(inputs.records(1, kb * 1000), 4), 100, 200),
+        }[family]
+        per_node = []
+        for size in (small, large):
+            run, nodes = work(size)
+            per_node.append(sum(profiled_calls(run).values()) / nodes)
+        assert per_node[1] <= 1.05 * per_node[0], (
+            "calls per node %.2f at %s, %.2f at %s" % (per_node[0], small, per_node[1], large))

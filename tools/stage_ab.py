@@ -21,9 +21,7 @@ XML.  The stages are:
 - ``parse`` and ``share``: ``parse_xml`` and ``build_dag_grammar``, the
   staged path of the bench;
 - ``parse+share``: ``dag_grammar(parse_xml_classes(data))``, which
-  ``compress_xml_bytes`` runs, on a side that shares subtrees while
-  parsing, and the sum of ``parse`` and ``share`` on a side that does
-  not;
+  ``compress_xml_bytes`` runs;
 - ``index``, ``replace``, ``prune`` and ``encode`` on the grammar of
   ``parse+share``;
 - ``decode`` and ``write_xml``, after the compress objects are dropped
@@ -83,24 +81,17 @@ def make_jobs(workloads, inputs, names, directory):
 
 def worker(jobs):
     """Print, as JSON, each job's stage seconds and output digest."""
-    from treerepair import (build_dag_grammar, build_index, decode, encode, parse_xml,
-                            prune, run_replacement_step, succinct_decoder, xml_tree)
+    from treerepair import (build_dag_grammar, build_index, encode, parse_xml, prune,
+                            run_replacement_step)
+    from treerepair.dag_builder import dag_grammar
     from treerepair.pipeline import OPTIMIZE_THRESHOLDS
     from treerepair.slcf_grammar import DEFAULT_NODE_CAP
+    from treerepair.succinct_decoder import decode_with_census
+    from treerepair.xml_tree import parse_xml_classes
 
-    # a source tree whose decoder does not count the bodies leaves the
-    # census to write_xml
-    decode_with_census = getattr(succinct_decoder, "decode_with_census",
-                                 lambda stream: (decode(stream), None))
-    # a source tree that does not share while parsing shares the parsed tree
-    if hasattr(xml_tree, "parse_xml_classes"):
-        from treerepair.dag_builder import dag_grammar
-
-        def parse_and_share(data):
-            classes = xml_tree.parse_xml_classes(data)
-            return dag_grammar(classes), classes.edge_count
-    else:
-        parse_and_share = None
+    def parse_and_share(data):
+        classes = parse_xml_classes(data)
+        return dag_grammar(classes), classes.edge_count
 
     out = {}
     for name, (path, max_rank, optimize) in jobs.items():
@@ -116,14 +107,9 @@ def worker(jobs):
             return result
 
         bt = stage("parse", parse_xml, data)
-        n_edges = bt.edge_count
         g = stage("share", build_dag_grammar, bt)
-        del bt  # the later stages run on a heap that holds one grammar
-        if parse_and_share is None:
-            times["parse+share"] = times["parse"] + times["share"]
-        else:
-            del g
-            g, n_edges = stage("parse+share", parse_and_share, data)
+        del bt, g  # the later stages run on a heap that holds one grammar
+        g, n_edges = stage("parse+share", parse_and_share, data)
         idx = stage("index", build_index, g, n_edges=n_edges, max_rank=max_rank)
         stage("replace", run_replacement_step, g, idx)
         stage("prune", prune, g, OPTIMIZE_THRESHOLDS[optimize])
@@ -133,8 +119,7 @@ def worker(jobs):
         del g, idx
         gc.collect()
         decoded, census = stage("decode", decode_with_census, stream)
-        xml = stage("write_xml", decoded.write_xml,
-                    *() if census is None else (DEFAULT_NODE_CAP, census))
+        xml = stage("write_xml", decoded.write_xml, DEFAULT_NODE_CAP, census)
         out[name] = {"s": times, "sha256": hashlib.sha256(stream + xml).hexdigest()}
     print(json.dumps(out))
 

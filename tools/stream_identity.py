@@ -1,4 +1,5 @@
-"""Check that two source trees write the same compressed streams.
+"""Check that two source trees write the same compressed streams and
+statistics.
 
 Usage::
 
@@ -23,10 +24,13 @@ mutants of every stream, seeded by the stream's number: two with one bit
 flipped, one cut after a byte, each under a cap of ``MUTANT_NODE_CAP``
 value nodes.  The outcome of a mutant is its output or its
 ``DecodeError`` message, so a decoder change shows the same faults, in
-the same order, over every stream.  It prints the stream count and one
-sha256 over every stream, its decompressed output and the outcomes of
-its mutants.  The script prints both lines and exits 0 if they agree, 1
-if not.  It needs no network and is not part of the test suite.
+the same order, over every stream.  It also runs ``gather_stats`` on
+every document under every flag set, 7 248 reports.  It prints the
+stream count and one sha256 over every stream, its decompressed output
+and the outcomes of its mutants, then the report count and one sha256
+over every report without its ``wall ms``.  The script prints both
+sides' lines and exits 0 if they agree, 1 if not.  It needs no network
+and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -84,9 +88,11 @@ def mutants(stream, number):
 
 
 def worker():
-    """Print the stream count and digest of this interpreter's package."""
+    """Print the stream and report counts and digests of this
+    interpreter's package."""
     from treerepair import (DecodeError, compress_tree, compress_xml_bytes,
-                            decompress_bytes, decompress_tree, fixtures)
+                            decompress_bytes, decompress_tree, fixtures,
+                            gather_stats)
     from treerepair.slcf_grammar import DEFAULT_NODE_CAP
 
     def tree_text(stream, node_cap=DEFAULT_NODE_CAP):
@@ -115,7 +121,14 @@ def worker():
                 h.update(len(part).to_bytes(8, "big"))
                 h.update(part)
             count += 1
-    print("%d streams sha256 %s" % (count, h.hexdigest()))
+    reports = hashlib.sha256()
+    for d in docs:
+        for flags in FLAGS:
+            stats = gather_stats(d, *flags)
+            del stats["wall ms"]
+            reports.update(repr(list(stats.items())).encode())
+    print("%d streams sha256 %s, %d stats sha256 %s"
+          % (count, h.hexdigest(), len(docs) * len(FLAGS), reports.hexdigest()))
 
 
 def main(argv=None):
