@@ -4,32 +4,32 @@ A digram is (parent symbol, child index, child symbol).  For every digram
 the index keeps a doubly linked list of its currently chosen occurrences.
 An occurrence is an edge, and every edge is the parent edge of exactly
 one node, so the index names an edge by its child node: the list links
-live in flat arrays of the index indexed by arena node id (``_slot``
-holds the record whose list the edge is on, or FREE; ``_next``/``_prev``
+live in flat arrays of the index indexed by arena node id (``slot``
+holds the record whose list the edge is on, or FREE; ``next``/``prev``
 the neighbouring edges).  The tree arena carries no index state.  Lists
 report an occurrence by the parent node of its edge; all occurrences of
 one digram share the child index.
 
 Records are flat as well.  A record is an integer id, equal to its
-creation sequence number, into per-record arrays (list head and tail,
-``count``).  Records exist only for digrams within the rank bound: an
-edge whose digram would need a pattern of larger rank is never listed,
-so it gets no record.  ``records`` maps a digram key, the plain tuple
-(parent symbol, child index, resolved child symbol), to its record id,
-and lives for one round: a pop that hands out a record empties it.  That is
-sound because between two pops ``link`` lists only edges with the popped
-round's new nonterminal at one end, so no key made before a pop is
+creation sequence number, into per-record arrays (list ``head`` and
+``tail``, ``count``).  Records exist only for digrams within the rank
+bound: an edge whose digram would need a pattern of larger rank is never
+listed, so it gets no record.  ``records`` maps a digram key, the plain
+tuple (parent symbol, child index, resolved child symbol), to its record
+id, and lives for one round: a pop that hands out a record empties it.
+That is sound because between two pops ``link`` lists only edges with the
+popped round's new nonterminal at one end, so no key made before a pop is
 looked up after it.  Ids, lists, counts and placement outlive the keys,
 so a record keeps its place in tie-breaking.  ``pop_most_frequent``
-hands out record ids; ``digram(r)`` and ``head(r)`` read a record's
-digram and its oldest occurrence off the head edge of its list.
+hands out record ids; ``digram(r)`` reads a record's digram off the head
+edge of its list.
 
-Only two methods change the lists: ``link(nodes)`` lists the parent edge
-of each given node and ``unlink(nodes)`` drops it.  Each places the
-records whose counts it changes as it goes, edge by edge.  A node never
-changes the edge it ends: grammar rewrites keep a subtree's top node in
-place and change its label and children.  Which edges a rewrite touches
-is the replacer's business (``replace_occurrence``).
+Two places change the lists: ``link(nodes)`` lists the parent edge of
+each given node, and the replacer's round (``replacer.replace_round``)
+drops the edges each rewrite absorbs.  Each places the records whose
+counts it changes as it goes, edge by edge.  A node never changes the
+edge it ends: grammar rewrites keep a subtree's top node in place and
+change its label and children.
 
 Digram priorities live in sqrt(n) frequency buckets plus an unsorted top
 list (n = edge count of the input tree, ``bucket_limit`` its integer
@@ -43,7 +43,7 @@ bucket, and ``link`` raises it to a bucket it places a record in above
 it.  A record enters the top list only from bucket ``bucket_limit`` - 1
 (or from no place), and the cursor falls only while the top list is
 empty, so while the top list holds a record the cursor is at least
-``bucket_limit`` - 1: a record that ``unlink`` drops out of the top list
+``bucket_limit`` - 1: a record that a rewrite drops out of the top list
 lands at or below it.
 
 In a DAG-shaped grammar a reference to a rank-0 DAG nonterminal counts as
@@ -77,19 +77,19 @@ class DigramIndex:
             n_edges = grammar.grammar_size()
         self.bucket_limit = max(1, isqrt(max(1, n_edges)))
         # The count from which a record is in the top list.
-        self._top_at = max(2, self.bucket_limit)
+        self.top_at = max(2, self.bucket_limit)
         # A listed edge's rank(parent) + rank(child) is at most _bound.
         self._bound = inf if max_rank is None else max_rank + 1
         # Per record; keys of this round's digrams only.
         self.records = {}  # (parent, index, resolved child) -> record id
-        self._head = []
-        self._tail = []
+        self.head = []
+        self.tail = []
         self.count = []
         # Per arena node, and up to _SPARE more: the edge from its parent.
         n = len(grammar.arena)
-        self._slot = [FREE] * n
-        self._next = [END] * n
-        self._prev = [END] * n
+        self.slot = [FREE] * n
+        self.next = [END] * n
+        self.prev = [END] * n
         # buckets[b] (2 <= b < bucket_limit) holds the placed records of
         # count b; buckets[bucket_limit] is the top list.
         self.buckets = [dict() for _ in range(self.bucket_limit + 1)]
@@ -101,7 +101,8 @@ class DigramIndex:
 
     def link(self, nodes):
         """Append the parent edges of ``nodes`` to their digrams' lists and
-        place each record at its new count.
+        place each record at its new count; ``build_index`` and each
+        rewrite of ``replacer.replace_round`` list their edges here.
 
         Between two pops, the given edges must each have the popped round's
         new nonterminal at one end (parent or resolved child): ``records``
@@ -119,7 +120,7 @@ class DigramIndex:
         """
         ar = self.g.arena
         labels, parents, pindex = ar.labels, ar.parents, ar.pindex
-        slot, nxt, prv = self._slot, self._next, self._prev
+        slot, nxt, prv = self.slot, self.next, self.prev
         grow = len(labels) - len(slot)
         if grow > 0:
             grow += _SPARE
@@ -127,7 +128,7 @@ class DigramIndex:
             nxt += [END] * grow
             prv += [END] * grow
         records = self.records
-        head, tail, count = self._head, self._tail, self.count
+        head, tail, count = self.head, self.tail, self.count
         bound = self._bound
         limit, buckets = self.bucket_limit, self.buckets
         v = None
@@ -174,44 +175,10 @@ class DigramIndex:
                     buckets[n][r] = None
                     if n > self.cursor:
                         self.cursor = n
-            elif n == self._top_at:
+            elif n == self.top_at:
                 if n > 2:
                     del buckets[n - 1][r]
                 self.top[r] = None
-
-    def unlink(self, nodes):
-        """Drop the edges ending in ``nodes`` from their lists (those that
-        are on one) and place each record at its new count."""
-        slot, nxt, prv = self._slot, self._next, self._prev
-        head, tail, count = self._head, self._tail, self.count
-        limit, buckets = self.bucket_limit, self.buckets
-        for c in nodes:
-            r = slot[c]
-            if r == FREE:
-                continue
-            before = prv[c]
-            after = nxt[c]
-            if before == END:
-                head[r] = after
-            else:
-                nxt[before] = after
-            if after == END:
-                tail[r] = before
-            else:
-                prv[after] = before
-            slot[c] = FREE
-            n = count[r]
-            count[r] = n - 1
-            if n < 2:
-                continue
-            if n < limit:
-                del buckets[n][r]
-                if n > 2:
-                    buckets[n - 1][r] = None
-            elif n == self._top_at:
-                del self.top[r]
-                if n > 2:
-                    buckets[n - 1][r] = None
 
     # -- priority queue --------------------------------------------------------------
 
@@ -249,14 +216,9 @@ class DigramIndex:
         read off its head edge."""
         g = self.g
         ar = g.arena
-        c = self._head[r]
+        c = self.head[r]
         return (ar.labels[ar.parents[c]], ar.pindex[c],
                 g.resolve_label(ar.labels[c]))
-
-    def head(self, r):
-        """Parent node of the oldest listed occurrence of record r, which
-        must have one."""
-        return self.g.arena.parents[self._head[r]]
 
 
 def build_index(grammar: SlcfGrammar, n_edges=None, max_rank=None) -> DigramIndex:
@@ -276,7 +238,7 @@ def build_index(grammar: SlcfGrammar, n_edges=None, max_rank=None) -> DigramInde
     g = grammar
     ar = g.arena
     labels, parents, pindex, children = ar.labels, ar.parents, ar.pindex, ar.children
-    slot = idx._slot
+    slot = idx.slot
     run = []
     for nt in list(g.productions.values()):
         root = nt.root

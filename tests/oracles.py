@@ -4,7 +4,9 @@ Everything here is deliberately written with a different approach than the
 package under test (plain recursion, ElementTree, textbook formulas) so a
 shared bug cannot hide.  The structural checks and readers that only tests
 call (``validate_grammar``, ``same_structure``, ``occurrence_nodes``,
-``canonical_text``) live here too, not in the package.
+``canonical_text``) live here too, not in the package, and so does the
+per-occurrence digram rewrite (``replace_occurrence``) that the
+replacer's one-pass round is checked against.
 """
 
 import heapq
@@ -14,7 +16,7 @@ from fractions import Fraction
 from treerepair import (PARAMETER, BinaryTree, ChildrenCharacteristic, DecodeError,
                         Nonterminal, SlcfGrammar, Tree, decode, decompress_tree,
                         serialize_xml)
-from treerepair.digram_index import END
+from treerepair.digram_index import END, FREE
 
 
 def element_shape(data):
@@ -159,18 +161,107 @@ def max_nonoverlapping(tree, root, parent_sym, index, child_sym):
     return total
 
 
-def occurrence_nodes(idx, parent, index, child):
-    """Parent nodes of a digram's listed occurrences in a DigramIndex,
-    oldest first; the record is the one whose head edge has the digram."""
+def digram_record(idx, parent, index, child):
+    """Id of the record in a DigramIndex whose listed occurrences have the
+    digram, read off each record's head edge, or None."""
     for r in range(len(idx.count)):
         if idx.count[r] and idx.digram(r) == (parent, index, child):
-            out = []
-            c = idx._head[r]
-            while c != END:
-                out.append(idx.g.arena.parents[c])
-                c = idx._next[c]
-            return out
-    return []
+            return r
+    return None
+
+
+def occurrence_nodes(idx, parent, index, child):
+    """Parent nodes of a digram's listed occurrences in a DigramIndex,
+    oldest first."""
+    r = digram_record(idx, parent, index, child)
+    out = []
+    c = END if r is None else idx.head[r]
+    while c != END:
+        out.append(idx.g.arena.parents[c])
+        c = idx.next[c]
+    return out
+
+
+def unlink(idx, nodes):
+    """Drop the edges ending in ``nodes`` from their lists (those that are
+    on one) and place each record at its new count: the edge drop of
+    ``replacer.replace_round``, one call per rewrite."""
+    slot, nxt, prv = idx.slot, idx.next, idx.prev
+    head, tail, count = idx.head, idx.tail, idx.count
+    limit, buckets = idx.bucket_limit, idx.buckets
+    for c in nodes:
+        r = slot[c]
+        if r == FREE:
+            continue
+        before = prv[c]
+        after = nxt[c]
+        if before == END:
+            head[r] = after
+        else:
+            nxt[before] = after
+        if after == END:
+            tail[r] = before
+        else:
+            prv[after] = before
+        slot[c] = FREE
+        n = count[r]
+        count[r] = n - 1
+        if n < 2:
+            continue
+        if n < limit:
+            del buckets[n][r]
+            if n > 2:
+                buckets[n - 1][r] = None
+        elif n == idx.top_at:
+            del idx.top[r]
+            if n > 2:
+                buckets[n - 1][r] = None
+
+
+def split_shared(g, X):
+    """Flatten a multiply-referenced DAG production to depth 1, and return
+    fresh references to the productions its root's children now are,
+    made one ``SlcfGrammar.new_node`` at a time."""
+    ar = g.arena
+    refs = []
+    for c in ar.children[X.root]:
+        lc = ar.labels[c]
+        if not (lc.__class__ is Nonterminal and lc.is_dag):
+            lc = g.share(c)
+        refs.append(g.new_node(lc))
+    return refs
+
+
+def replace_occurrence(g, idx, v, j, A):
+    """Rewrite the single occurrence at (v, j) to the nonterminal A through
+    the grammar's and arena's own helpers: the per-occurrence reference
+    for ``replacer.replace_round``, which makes the same calls to
+    ``unlink`` and ``idx.link`` in the same order."""
+    ar = g.arena
+    children = ar.children
+    kids = children[v]
+    w = kids[j - 1]
+    lw = ar.labels[w]
+    inner = children[w]
+    if lw.__class__ is Nonterminal and lw.is_dag:
+        if len(lw.refs) > 1:
+            inner = split_shared(g, lw)
+        else:
+            g.eliminate(lw)
+            inner = children[w]
+    into = [v] if ar.parents[v] != -1 else list(g.root_to_prod[v].refs)
+    unlink(idx, into + kids + children[w])
+    kids[j - 1:j] = inner
+    g.relabel(v, A)
+    g.kill_node(w)
+    ar.set_children(v, kids)
+    idx.link(into + kids)
+
+
+def replace_round_by_occurrence(g, idx, r, j, A):
+    """``replacer.replace_round`` one ``replace_occurrence`` call at a time."""
+    while idx.count[r]:
+        replace_occurrence(g, idx, g.arena.parents[idx.head[r]], j, A)
 
 
 def canonical_text(g):

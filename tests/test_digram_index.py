@@ -6,11 +6,12 @@ from treerepair import (ChildrenCharacteristic, build_dag_grammar, build_index,
                         parse_xml, run_replacement_step)
 from treerepair.digram_index import END, FREE
 from treerepair.fixtures import gen_M, gen_perfect_binary
-from treerepair.replacer import pattern_tree, replace_occurrence
+from treerepair.replacer import pattern_tree, replace_round
 from treerepair.slcf_grammar import SlcfGrammar
 
 from conftest import BOOKS, make_grammar, random_xml, ranked, ranked_bt
-from oracles import max_nonoverlapping, occurrence_nodes, validate_grammar
+from oracles import (digram_record, max_nonoverlapping, occurrence_nodes, unlink,
+                     validate_grammar)
 
 CC = ChildrenCharacteristic
 
@@ -163,10 +164,10 @@ class TestIncrementalMaintenance:
         idx = build_index(g)
         f, c = ranked("f/2"), ranked("c/0")
         assert len(occurrence_nodes(idx, f, 2, f)) == 1
-        [v] = occurrence_nodes(idx, f, 1, c)
+        assert len(occurrence_nodes(idx, f, 1, c)) == 1
         a = g.new_nonterminal(f.rank + c.rank - 1, is_dag=False)
         g.add_production(a, pattern_tree(g, f, 1, c))
-        replace_occurrence(g, idx, v, 1, a)
+        replace_round(g, idx, digram_record(idx, f, 1, c), 1, a)
         validate_grammar(g)
         # the maintained set is now empty although the rewritten tree
         # still contains one occurrence
@@ -186,13 +187,13 @@ def check_index(idx, max_rank):
     owner = {}  # digram -> the record listing it
     for r in range(len(idx.count)):
         entries = []
-        prev, c = END, idx._head[r]
+        prev, c = END, idx.head[r]
         while c != END:
-            assert idx._slot[c] == r
-            assert idx._prev[c] == prev
+            assert idx.slot[c] == r
+            assert idx.prev[c] == prev
             entries.append(c)
-            prev, c = c, idx._next[c]
-        assert idx._tail[r] == prev
+            prev, c = c, idx.next[c]
+        assert idx.tail[r] == prev
         assert len(entries) == idx.count[r]
         if not entries:
             continue
@@ -208,7 +209,7 @@ def check_index(idx, max_rank):
             assert ar.children[p][i - 1] == c
             assert (ar.labels[p], i, g.resolve_label(ar.labels[c])) == want
         listed.update(entries)
-    assert listed == {c for c, r in enumerate(idx._slot) if r != FREE}
+    assert listed == {c for c, r in enumerate(idx.slot) if r != FREE}
     for key, r in idx.records.items():
         assert owner.get(key, r) == r
         assert not idx.count[r] or idx.digram(r) == key
@@ -361,11 +362,11 @@ class TestCursor:
         # The record climbs through the buckets into the top list, raising
         # the cursor on its way, so unlink has no cursor to raise.
         g, idx, r = self.popped_round()
-        edges = self.round_edges(g, idx._top_at)
+        edges = self.round_edges(g, idx.top_at)
         idx.link(edges)
-        new = idx._slot[edges[0]]
-        assert new in idx.top and idx.cursor == idx._top_at - 1
-        idx.unlink(edges[:1])
-        assert new in idx.buckets[idx._top_at - 1]
+        new = idx.slot[edges[0]]
+        assert new in idx.top and idx.cursor == idx.top_at - 1
+        unlink(idx, edges[:1])
+        assert new in idx.buckets[idx.top_at - 1]
         check_index(idx, None)
         assert idx.pop_most_frequent() == new

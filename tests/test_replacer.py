@@ -3,14 +3,19 @@
 import cProfile
 import pstats
 
-from treerepair import (build_index, compress_tree, compress_xml_bytes, digram_index,
-                        parse_xml, replacer, run_replacement_step, slcf_grammar)
+import pytest
+
+from treerepair import (DigramIndex, build_dag_grammar, build_index, compress_tree,
+                        compress_xml_bytes, digram_index, parse_xml, replacer,
+                        run_replacement_step, slcf_grammar, xml_tree)
+from treerepair.digram_index import END
 from treerepair.fixtures import gen_M
-from treerepair.replacer import pattern_tree, replace_occurrence
+from treerepair.replacer import pattern_tree, replace_round
 from treerepair.slcf_grammar import SlcfGrammar
 
 from conftest import BOOKS, make_grammar, random_xml, ranked, ranked_bt
-from oracles import canonical_text, occurrence_nodes, same_structure, validate_grammar
+from oracles import (canonical_text, digram_record, occurrence_nodes,
+                     replace_round_by_occurrence, same_structure, validate_grammar)
 from test_slcf_grammar import G4_TEXT
 
 
@@ -71,11 +76,11 @@ class TestSharedChild:
         ], dag={"A"})
         idx = build_index(g)
         f, h = ranked("f/2"), ranked("h/2")
-        [v] = occurrence_nodes(idx, f, 2, h)
+        assert len(occurrence_nodes(idx, f, 2, h)) == 1
         a = g.new_nonterminal(f.rank + h.rank - 1, is_dag=False)
         assert a.rank == 3
         g.add_production(a, pattern_tree(g, f, 2, h))
-        replace_occurrence(g, idx, v, 2, a)
+        replace_round(g, idx, digram_record(idx, f, 2, h), 2, a)
         assert canonical_text(g) == (
             "A_1(y,y,y) -> f/2(y,h/2(y,y))\n"
             "A_2 -> b/0\n"
@@ -99,10 +104,10 @@ class TestSharedChild:
         ], dag={"A"})
         idx = build_index(g)
         f, gsym = ranked("f/2"), ranked("g/2")
-        [v] = occurrence_nodes(idx, f, 1, gsym)
+        assert len(occurrence_nodes(idx, f, 1, gsym)) == 1
         a = g.new_nonterminal(f.rank + gsym.rank - 1, is_dag=False)
         g.add_production(a, pattern_tree(g, f, 1, gsym))
-        replace_occurrence(g, idx, v, 1, a)
+        replace_round(g, idx, digram_record(idx, f, 1, gsym), 1, a)
         assert canonical_text(g) == (
             "A_1(y,y,y) -> f/2(g/2(y,y),y)\nS -> A_1(a/0,b/0,c/0)"
         )
@@ -111,8 +116,6 @@ class TestSharedChild:
         assert same_structure(g.unfold_value(), want)
 
     def test_replacement_over_shared_layers_preserves_value(self):
-        from treerepair import build_dag_grammar
-
         for seed in range(30):
             data = random_xml(seed + 900, 150)
             g = build_dag_grammar(parse_xml(data))
@@ -121,12 +124,81 @@ class TestSharedChild:
             assert same_structure(g.unfold_value(), parse_xml(data)), data
 
 
-class TestIndexProtocol:
-    """Call counts, not wall time: a rewrite drives the digram index
-    through one unlink and one link, and the index places records inside
-    those two calls."""
+def index_state(g, idx):
+    """What a round leaves behind: the grammar up to renaming, the record
+    counts, each record's list of edges in order, the key order of every
+    bucket and of the top list, and the cursor."""
+    lists = []
+    for r in range(len(idx.count)):
+        c, edges = idx.head[r], []
+        while c != END:
+            edges.append(c)
+            c = idx.next[c]
+        lists.append(edges)
+    return (canonical_text(g), idx.count, lists, [list(b) for b in idx.buckets],
+            idx.cursor)
 
-    def test_each_rewrite_unlinks_once_and_links_once(self):
+
+class TestRoundOracle:
+    """``replace_round`` leaves the grammar and the index as the
+    per-occurrence rewrite through the grammar's helpers does
+    (``oracles.replace_occurrence``), round by round."""
+
+    @pytest.mark.parametrize("max_rank", [2, None])
+    @pytest.mark.parametrize("n_edges, limit", [(1, 1), (4, 2), (9, 3)])
+    def test_round_equals_the_per_occurrence_rewrite(self, max_rank, n_edges, limit):
+        rounds = 0
+        for seed in range(40):
+            # At 300 nodes these documents share enough for rounds to meet
+            # both shared and single-use DAG children.
+            data = random_xml(seed + 300, 300)
+            sides = []
+            for rewrite in (replace_round, replace_round_by_occurrence):
+                g = build_dag_grammar(parse_xml(data))
+                idx = build_index(g, n_edges=n_edges, max_rank=max_rank)
+                assert idx.bucket_limit == limit
+                sides.append((g, idx, rewrite))
+            (g1, idx1, _), (g2, idx2, _) = sides
+            while True:
+                r = idx1.pop_most_frequent()
+                assert idx2.pop_most_frequent() == r
+                if r is None:
+                    break
+                for g, idx, rewrite in sides:
+                    parent, index, child = idx.digram(r)
+                    a = g.new_nonterminal(parent.rank + child.rank - 1, is_dag=False)
+                    g.add_production(a, pattern_tree(g, parent, index, child))
+                    rewrite(g, idx, r, index, a)
+                assert index_state(g1, idx1) == index_state(g2, idx2), (seed, r)
+                rounds += 1
+        assert rounds > 250
+
+
+class TestIndexProtocol:
+    """Call counts, not wall time: a round rewrites its occurrences itself,
+    with one ``link`` call per rewrite and none of the per-node arena and
+    grammar helpers, and the index places records inside ``link``."""
+
+    def test_each_rewrite_links_once_and_calls_no_node_helper(self, monkeypatch):
+        # A round's rewrites are its nonterminal's references at the next
+        # pop, wrapping pop_most_frequent as run_checked does.
+        rounds, rewrites = [], []
+        new_nonterminal = SlcfGrammar.new_nonterminal
+        pop = DigramIndex.pop_most_frequent
+
+        def tracked_new_nonterminal(g, rank, is_dag):
+            nt = new_nonterminal(g, rank, is_dag)
+            if not is_dag:
+                rounds.append(nt)
+            return nt
+
+        def counting_pop(idx):
+            while rounds:
+                rewrites.append(len(rounds.pop().refs))
+            return pop(idx)
+
+        monkeypatch.setattr(SlcfGrammar, "new_nonterminal", tracked_new_nonterminal)
+        monkeypatch.setattr(DigramIndex, "pop_most_frequent", counting_pop)
         profiler = cProfile.Profile()
         profiler.enable()
         try:
@@ -135,25 +207,22 @@ class TestIndexProtocol:
         finally:
             profiler.disable()
         stats = pstats.Stats(profiler).stats
-        rewrite, = [f for f in stats
-                    if f[0] == replacer.__file__ and f[2] == "replace_occurrence"]
-        rewrites = stats[rewrite][1]
-        assert rewrites > 0
-        called = {f[2]: callers[rewrite][0]
-                  for f, (*_, callers) in stats.items()
-                  if f[0] == digram_index.__file__ and rewrite in callers}
-        assert called == {"unlink": rewrites, "link": rewrites}
-        # link and unlink place records themselves: they call none of the
-        # index's own functions.
-        lists = {f for f in stats
-                 if f[0] == digram_index.__file__ and f[2] in ("link", "unlink")}
-        callees = {f[2] for f, (*_, callers) in stats.items()
-                   if f[0] == digram_index.__file__ and callers.keys() & lists}
-        assert not callees
+        assert sum(rewrites) > 0
+        rnd, = [f for f in stats if f[0] == replacer.__file__ and f[2] == "replace_round"]
+        callees = {(f[0], f[2]): callers[rnd][0]
+                   for f, (*_, callers) in stats.items() if rnd in callers}
+        assert callees.get((digram_index.__file__, "link")) == sum(rewrites)
+        helpers = {(xml_tree.__file__, "new_node"), (xml_tree.__file__, "kill"),
+                   (xml_tree.__file__, "set_children"),
+                   (slcf_grammar.__file__, "new_node"), (slcf_grammar.__file__, "relabel"),
+                   (slcf_grammar.__file__, "kill_node")}
+        assert not callees.keys() & helpers
         # Both DAG branches ran: a shared child was split, a single-use
         # one spliced.
-        branches = {f[2] for f, (*_, callers) in stats.items()
-                    if rewrite in callers
-                    and (f[0], f[2]) in {(replacer.__file__, "_split_shared"),
-                                         (slcf_grammar.__file__, "eliminate")}}
-        assert branches == {"_split_shared", "eliminate"}
+        assert {(slcf_grammar.__file__, "share"),
+                (slcf_grammar.__file__, "eliminate")} <= callees.keys()
+        # link places records itself: it calls none of the index's own
+        # functions.
+        link, = [f for f in stats if f[0] == digram_index.__file__ and f[2] == "link"]
+        assert not {f for f, (*_, callers) in stats.items()
+                    if f[0] == digram_index.__file__ and link in callers}

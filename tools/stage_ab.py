@@ -28,10 +28,14 @@ XML.  The stages are:
   and collected, as if in a process of their own.
 
 It prints, per workload and stage and for the compress sum (``parse+share``
-to ``encode``) and the decompress sum, the minimum and median seconds of
-each side and in how many pairs the new side was lower, and whether the
-two sides wrote the same streams and XML.  It exits 1 if they did not.
-It needs no network and is not part of the test suite.
+to ``encode``) and the decompress sum, the minimum, first quartile,
+median and third quartile seconds of each side, in how many pairs the
+new side was lower, and whether the two sides wrote the same streams and
+XML.  It exits 1 if they did not.  A row is marked ``gain`` only when the
+new side was lower in at least nine tenths of the pairs and its median is
+below the old side's by more than the old side's interquartile range
+(quartiles by ``statistics.quantiles``, inclusive method).  It needs no
+network and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -134,10 +138,18 @@ def run_side(src, jobs):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def quartiles(xs):
+    """First quartile, median and third quartile of ``xs``."""
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+
+
 def report(runs, names):
     """Print the table; returns True if both sides wrote the same outputs."""
-    print("%-15s %-11s %9s %9s %9s %9s %6s"
-          % ("workload", "stage", "old min", "old med", "new min", "new med", "lower"))
+    print("%-15s %-11s %8s %8s %8s %8s %8s %8s %8s %8s %6s"
+          % ("workload", "stage", "old min", "old q1", "old med", "old q3",
+             "new min", "new q1", "new med", "new q3", "lower"))
     same = True
     rows = STAGED + COMPRESS + ("compress",) + DECOMPRESS + ("decompress",)
     for name in names:
@@ -152,9 +164,12 @@ def report(runs, names):
             old = [s[stage] for s in seconds["old"]]
             new = [s[stage] for s in seconds["new"]]
             lower = sum(n < o for o, n in zip(old, new))
-            print("%-15s %-11s %9.4f %9.4f %9.4f %9.4f %3d/%-2d"
-                  % (name, stage, min(old), statistics.median(old),
-                     min(new), statistics.median(new), lower, len(old)))
+            old_q, new_q = quartiles(old), quartiles(new)
+            gain = (10 * lower >= 9 * len(old)
+                    and old_q[1] - new_q[1] > old_q[2] - old_q[0])
+            print("%-15s %-11s %8.4f %8.4f %8.4f %8.4f %8.4f %8.4f %8.4f %8.4f %3d/%-2d %s"
+                  % (name, stage, min(old), *old_q, min(new), *new_q, lower, len(old),
+                     "gain" if gain else ""))
         digests = {r[name]["sha256"] for side in runs.values() for r in side}
         same = same and len(digests) == 1
     print("outputs identical" if same else "outputs DIFFERENT")
