@@ -242,11 +242,13 @@ class SlcfGrammar:
         return nt
 
     def _substitute_parameters(self, root, args):
-        """Replace the i-th preorder parameter leaf under root by args[i],
-        moving the argument subtrees.  Root is never a parameter leaf (the
-        decoder rejects a bare-parameter rhs).  Postorder meets the leaves
-        left to right, as preorder does, and lists every node before the
-        first move."""
+        """Replace the i-th preorder parameter leaf under root by args[i].
+
+        The argument subtrees are moved, not copied.  Root is never a
+        parameter leaf itself: a bare-parameter rhs is illegal, and the
+        decoder rejects one.  Postorder meets the leaves left to right,
+        as preorder does, and lists every node before the first move.
+        """
         t = self.arena
         labels = t.labels
         n = 0
@@ -262,9 +264,9 @@ class SlcfGrammar:
 
         Each reference node takes the rhs root's label; the last one gets
         the root's children (a splice), any earlier ones copies of them,
-        built from the rhs's preorder, so a copy's parameter leaves are at
-        known ids.  With a single reference this moves nodes without
-        copying, so reference counts of all other nonterminals are unchanged.
+        built from the rhs's preorder.  With a single reference this moves
+        nodes without copying, so reference counts of all other
+        nonterminals are unchanged.
         """
         if nt.id == self.start_id:
             raise GrammarError("cannot eliminate the start production")
@@ -276,23 +278,17 @@ class SlcfGrammar:
         ref_nodes = list(nt.refs)
         if len(ref_nodes) > 1:
             below_root = t.preorder(root)[1:]
-            holes = [i for i, x in enumerate(below_root) if x is PARAMETER]
         for k, r in enumerate(ref_nodes):
             args = t.children[r]
             self.relabel(r, label)
             if k == len(ref_nodes) - 1:
                 kids = t.children[root]
                 t.children[root] = []  # kill clears the list in place
-                t.set_children(r, kids)
-                if nt.rank:
-                    self._substitute_parameters(r, args)
             else:
-                first = len(t.labels)  # the copy's nodes take ids in preorder
-                t.set_children(r, self.new_tree(below_root))
-                for i, arg in zip(holes, args):
-                    y = first + i
-                    t.put(t.parents[y], t.pindex[y], arg)
-                    t.kill(y)
+                kids = self.new_tree(below_root)
+            t.set_children(r, kids)
+            if nt.rank:
+                self._substitute_parameters(r, args)
         self.kill_node(root)
 
     def splice_single_refs(self):

@@ -164,14 +164,49 @@ class TestRoundOracle:
                 assert idx2.pop_most_frequent() == r
                 if r is None:
                     break
-                for g, idx, rewrite in sides:
-                    parent, index, child = idx.digram(r)
-                    a = g.new_nonterminal(parent.rank + child.rank - 1, is_dag=False)
-                    g.add_production(a, pattern_tree(g, parent, index, child))
-                    rewrite(g, idx, r, index, a)
+                rewrite_both(sides, r)
                 assert index_state(g1, idx1) == index_state(g2, idx2), (seed, r)
                 rounds += 1
         assert rounds > 250
+
+    def test_edges_into_v_drop_before_its_child_edges(self):
+        # One rewrite drops the edge into v, of X = (q, 1, p), and v's
+        # child edge of Y = (p, 2, x), both at count 3 in the top list, so
+        # both land in bucket 2.  Their order there is the drop order, and
+        # the next pop takes the first of them.
+        tops = [("q/1", [("p/2", ["a/0", "x/0"])]),
+                ("q/1", [("p/2", ["z1/0", "u1/0"])]),
+                ("q/1", [("p/2", ["z2/0", "u2/0"])]),
+                ("m1/1", [("p/2", ["z3/0", "x/0"])]),
+                ("m2/1", [("p/2", ["z4/0", "x/0"])]),
+                ("t1/1", [("p/2", ["a/0", "w1/0"])]),
+                ("t2/1", [("p/2", ["a/0", "w2/0"])])]
+        sides = []
+        for rewrite in (replace_round, replace_round_by_occurrence):
+            g, _ = make_grammar([("S", 0, ("R/7", tops))])
+            idx = build_index(g, n_edges=9)
+            assert idx.bucket_limit == 3
+            sides.append((g, idx, rewrite))
+        (g1, idx1, _), (g2, idx2, _) = sides
+        q, p, a, x = ranked("q/1"), ranked("p/2"), ranked("a/0"), ranked("x/0")
+        r = digram_record(idx1, p, 1, a)
+        X, Y = digram_record(idx1, q, 1, p), digram_record(idx1, p, 2, x)
+        assert [idx1.count[s] for s in (r, X, Y)] == [3, 3, 3]
+        assert idx1.pop_most_frequent() == idx2.pop_most_frequent() == r
+        rewrite_both(sides, r)
+        assert index_state(g1, idx1) == index_state(g2, idx2)
+        assert list(idx1.buckets[2]) == [X, Y]
+        assert idx1.pop_most_frequent() == idx2.pop_most_frequent() == X
+
+
+def rewrite_both(sides, r):
+    """Make each side's pattern production for record r and run that
+    side's round rewrite on it."""
+    for g, idx, rewrite in sides:
+        parent, index, child = idx.digram(r)
+        a = g.new_nonterminal(parent.rank + child.rank - 1, is_dag=False)
+        g.add_production(a, pattern_tree(g, parent, index, child))
+        rewrite(g, idx, r, index, a)
 
 
 class TestIndexProtocol:
