@@ -386,7 +386,7 @@ class SlcfGrammar:
         UnsupportedInputError.  ``census`` is as in :meth:`unfold_value`.
         """
         plan, entry = self._check_value_size(node_cap, census)
-        return _write_tags(_derive(self.arena, plan, entry))
+        return _write_tags(_derive(self.arena, plan, entry), self.terminal_order)
 
 
 def _derive(arena, plan, entry) -> list:
@@ -482,28 +482,25 @@ def _derive(arena, plan, entry) -> list:
     return out
 
 
-class _Tags(dict):
-    """Terminal -> (tag, pending), built once per terminal: ``<name>``
-    and what the tag writer pushes after it, top last (a slot for a next
-    sibling, then the close tag), for a terminal with a first child;
-    ``<name/>`` and the slot or nothing for one with a next sibling only;
-    ``<name/>`` and None for a leaf.  A terminal without a children
-    characteristic raises UnsupportedInputError."""
-
-    def __missing__(self, sym):
+def _tag_table(alphabet) -> dict:
+    """Terminal -> (tag, pending) for each terminal of ``alphabet`` with a
+    children characteristic: ``<name>`` and what the tag writer pushes
+    after it, top last (a slot for a next sibling, then the close tag),
+    for a terminal with a first child; ``<name/>`` and the slot or
+    nothing for one with a next sibling only; ``<name/>`` and None for a
+    leaf."""
+    tags = {}
+    for sym in alphabet:
         char = sym.characteristic
         if char is None:
-            raise UnsupportedInputError(
-                "terminal %r has no children characteristic" % (sym,))
+            continue
         name = sym.name
         if char & 0b10:
-            tag, pending = "<%s>" % name, ("</%s>" % name,)
-            if char & 0b01:
-                pending = (None, *pending)
+            close = "</" + name + ">"
+            tags[sym] = "<" + name + ">", (None, close) if char & 0b01 else (close,)
         else:
-            tag, pending = "<%s/>" % name, () if char & 0b01 else None
-        self[sym] = tags = (tag, pending)
-        return tags
+            tags[sym] = "<" + name + "/>", () if char & 0b01 else None
+    return tags
 
 
 def _dependency_order(census) -> list:
@@ -532,35 +529,41 @@ def _dependency_order(census) -> list:
     return order
 
 
-def _write_tags(terminals) -> bytes:
-    """XML of the binary tree whose preorder terminals are ``terminals``.
+def _write_tags(terminals, alphabet) -> bytes:
+    """XML of the binary tree whose preorder terminals are ``terminals``,
+    each of them in ``alphabet``.
 
     The first-child/next-sibling preorder is document order: a node with
     a first child writes its open tag, its first child's chain follows,
     then its close tag, then its next sibling.  A stack holds the close
     tags still to write, each above a slot (None) where its node has a
     next sibling to come; a leaf ends a chain, so the close tags above the
-    top slot follow it.  A root that is not an XML-origin root raises
-    UnsupportedInputError.
+    top slot follow it.  A terminal without a children characteristic
+    or outside ``alphabet``, or a root that is not an XML-origin root,
+    raises UnsupportedInputError.
     """
-    tags = _Tags()
-    root = terminals[0]
-    tags[root]  # a terminal without a characteristic raises here
-    if root.characteristic != ChildrenCharacteristic.NO_RIGHT_CHILD:
+    root = terminals[0].characteristic  # a root without one fails below
+    if root is not None and root != ChildrenCharacteristic.NO_RIGHT_CHILD:
         raise UnsupportedInputError(
-            "derived root has characteristic %s, not an XML-origin tree"
-            % root.characteristic.bits)
+            "derived root has characteristic %s, not an XML-origin tree" % root.bits)
+    tags = _tag_table(alphabet)
     out = []
     stack = [None]  # under the root's close tag: the last leaf stops here
-    for tag, pending in map(tags.__getitem__, terminals):
-        out.append(tag)
-        if pending:
-            stack += pending
-        elif pending is None:
-            item = stack.pop()
-            while item is not None:
-                out.append(item)
+    try:
+        for tag, pending in map(tags.__getitem__, terminals):
+            out.append(tag)
+            if pending:
+                stack += pending
+            elif pending is None:
                 item = stack.pop()
+                while item is not None:
+                    out.append(item)
+                    item = stack.pop()
+    except KeyError as exc:
+        sym, = exc.args
+        why = ("has no children characteristic" if sym.characteristic is None
+               else "is not in the alphabet")
+        raise UnsupportedInputError("terminal %r %s" % (sym, why)) from None
     # str.join, not bytes.join: the latter holds a buffer view per item.
     return "".join(out).encode("utf-8")
 
@@ -571,7 +574,7 @@ def serialize_xml(bt: BinaryTree) -> bytes:
     A tree's value is its preorder, so this is the grammar writer's tag
     walk over the tree's labels.  Only valid for trees whose
     characteristics are consistent with an XML origin: a root without
-    characteristic 10, or a terminal without a characteristic, raises
-    UnsupportedInputError.
+    characteristic 10, or a terminal without a characteristic or outside
+    ``bt.terminal_order``, raises UnsupportedInputError.
     """
-    return _write_tags(bt.tree.preorder(bt.root))
+    return _write_tags(bt.tree.preorder(bt.root), bt.terminal_order)

@@ -248,6 +248,11 @@ class CanonicalDecoder:
                 for j, slot in zip(range(start, end, span), slots):
                     lookup[j:j + span] = [slot] * span
 
+    def code_word(self, sym):
+        """``(code, length)`` of ``sym``'s code word, or None if it has none."""
+        return next(((self._first[l] + syms.index(sym), l)
+                     for l, syms in enumerate(self._syms) if sym in syms), None)
+
     def read(self, reader: BitReader):
         avail = min(self.max_len, reader.remaining_bits)
         bits = reader.peek(avail)

@@ -8,6 +8,11 @@ one ``CanonicalDecoder.read_block`` whose balance ends the block: ids count
 -1 against the block's count, ETX bytes -1 against the terminal count, body
 ids rank - 1 against 1.  So are a length table's run-length tokens up to
 each run indicator, every length counting -1 against the table's size.
+A run continuation's count and the continuations that follow it are
+read from one peeked window: each group of the n+1 token's code word and
+its two count bits is a shift and a mask on one int, and the first bits
+that are not such a group, or the window's end, go back to
+``read_block``.
 The decoder calls ``CanonicalDecoder.read`` only for the five lone counts:
 the terminal and production counts and the three characteristic block
 counts.  A body's ids are its preorder, from which ``SlcfGrammar.new_tree``
@@ -26,23 +31,25 @@ would.
 
 The names section makes the terminal alphabet in a few C-level passes
 when its last name is complete: one UTF-8 decode of the whole section,
-one split, one test for an empty name and one ``xml_tree.LOW_CHAR``
-search per name (the rule ``TerminalSymbol`` checks), a tuple per symbol
-with no second check and its rank from a per-characteristic table, and
-one ``dict.fromkeys`` whose size shows a duplicate.  Any fault, or a last
-name cut by a failed read, hands the section to a loop that makes one
-checked symbol per name and reports the first faulty name, so the
-messages and their order are those of a read per name.
+one search of it for a control character other than ETX (the rule of
+``xml_tree.LOW_CHAR`` that ``TerminalSymbol`` checks), one split, one
+test for an empty name, a tuple per symbol with no second check and its
+rank from a per-characteristic table, and one ``dict.fromkeys`` whose
+size shows a duplicate.  Any fault, or a last name cut by a failed read,
+hands the section to a loop that makes one checked symbol per name and
+reports the first faulty name, so the messages and their order are those
+of a read per name.
 """
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from functools import partial
 from itertools import repeat
 
 from .bitio import BitReader, BitstreamEnd
-from .xml_tree import ETX, LOW_CHAR, ChildrenCharacteristic, TerminalSymbol, Tree
+from .xml_tree import ETX, ChildrenCharacteristic, TerminalSymbol, Tree
 from .slcf_grammar import PARAMETER, SlcfGrammar, rhs_census
 from .succinct_coder import FIELD_BITS, MAX_CODE_BITS, CanonicalDecoder, DecodeError
 
@@ -55,6 +62,13 @@ NAME_RUN_BITS = 11
 _RANK = {char: char.rank for char in ChildrenCharacteristic}
 # a symbol from (name, characteristic, rank), for a name that keeps the rule
 _new_symbol = partial(tuple.__new__, TerminalSymbol)
+# ``xml_tree.LOW_CHAR`` but for ETX, which ends each name of the section
+_LOW_CHAR_BUT_ETX = re.compile(r"[\x00-\x02\x04-\x1f]")
+# run continuations one window of a length table's read holds: a wider
+# window costs more to peek and to shift once per continuation; with 64
+# the M-d12 tables read as fast as with 512 and the records ones, of
+# short runs, as fast as with a 2-bit read per continuation
+RUN_WINDOW_GROUPS = 64
 
 
 def run_length_decode(reader, super_decoder, n, expected) -> dict:
@@ -71,9 +85,11 @@ def run_length_decode(reader, super_decoder, n, expected) -> dict:
     """
     lengths = {}
     deltas = defaultdict(lambda: -1)  # every value counts -1 against the table
+    # n+1's code word, if any, and the mask of it and its two count bits
+    code, width = super_decoder.code_word(n + 1) or (None, 0)
+    group, mask = width + 2, (1 << width + 2) - 1
     i = 0
     last = None
-    first_unit = True
     while i < expected:
         values = []
         tok = super_decoder.read_block(reader, values, deltas, expected - i, n)
@@ -83,18 +99,28 @@ def run_length_decode(reader, super_decoder, n, expected) -> dict:
             i += 1
         if values:
             last = values[-1]
-            first_unit = True
         if tok is None:
             break
         if tok == n + 1:
             if last is None:
                 raise DecodeError("run continuation without a sample value")
-            k = reader.read(2) + (3 if first_unit else 4)
+            # its count and the continuations after it, from one window; a
+            # run's first continuation, read with its sample, absorbs it
+            avail = min(reader.remaining_bits, group * RUN_WINDOW_GROUPS)
+            bits, have, start = reader.peek(avail), avail - 2, i
+            if have < 0:
+                raise BitstreamEnd()
+            i += (bits >> have & 3) + (3 if values else 4)
+            while have >= group and i < expected:
+                unit = bits >> (have - group) & mask
+                if unit >> 2 != code:
+                    break
+                have -= group
+                i += (unit & 3) + 4
+            reader.skip(avail - have)
             if last:
-                for j in range(i, i + k):
+                for j in range(start, i):
                     lengths[j] = last
-            i += k
-            first_unit = False
         elif tok == n + 2:
             i += reader.read(3) + 4
             last = None
@@ -148,7 +174,7 @@ def _read_terminals(raw, char_of) -> dict:
         raw.clear()
         names = text.split(chr(ETX))
         names.pop()  # the empty string after the last ETX
-        if "" not in names and not any(map(LOW_CHAR.search, names)):
+        if "" not in names and not _LOW_CHAR_BUT_ETX.search(text):
             chars = list(map(char_of.get, range(1, len(names) + 1),
                              repeat(ChildrenCharacteristic.TWO_CHILDREN)))
             terminals = dict.fromkeys(
@@ -249,7 +275,7 @@ def _decode(reader):
     seen_tags = set()
     # every id counts -1 and id 0 stops the read; a dict, as a list sized
     # by the terminal count, unchecked against the input, could be huge
-    id_deltas = defaultdict(lambda: -1, {0: None})
+    id_deltas = defaultdict(repeat(-1).__next__, {0: None})
     for _ in range(3):
         tag = reader.read(2)
         if tag not in (0, 1, 2) or tag in seen_tags:
@@ -262,10 +288,13 @@ def _decode(reader):
         try:
             bad = c2.read_block(reader, ids, id_deltas, count, n_terminals)
         finally:
-            for sid in ids:
-                if sid in char_of:
-                    raise DecodeError("bad terminal id %d in characteristic block" % sid)
-                char_of[sid] = char
+            block = dict.fromkeys(ids, char)
+            if len(block) < len(ids) or not char_of.keys().isdisjoint(block):
+                for sid in ids:  # to report the first id listed before
+                    if sid in char_of:
+                        raise DecodeError("bad terminal id %d in characteristic block" % sid)
+                    char_of[sid] = char
+            char_of.update(block)
         if bad is not None:
             raise DecodeError("bad terminal id %d in characteristic block" % bad)
 

@@ -23,9 +23,10 @@ ETX = 0x03
 
 # The name rule: a terminal name is not empty and has no character below
 # U+0020, so none holds the ETX that ends a name in the succinct coding.
-# ``TerminalSymbol`` and the decoder's bulk read of the names both find
-# such a character with ``LOW_CHAR``, whose search of a name that keeps
-# the rule makes no match object.
+# ``TerminalSymbol`` finds such a character with ``LOW_CHAR``, whose
+# search of a name that keeps the rule makes no match object; the
+# decoder's bulk read of the names searches the whole section at once
+# with the same class less ETX.
 LOW_CHAR = re.compile(r"[\x00-\x1f]")
 
 

@@ -5,6 +5,13 @@ import random
 import sys
 
 import pytest
+from hypothesis import Phase, settings
+
+# The explain phase re-runs a shrunk failure with parts of it varied to
+# say which arguments matter: hundreds of libcst ``compile`` calls per
+# failing test, seconds on a report, and no outcome changes.
+settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("no-explain")
 
 # The reference oracles and spec builders in tests/ recurse once per node.
 # The library must not: TestDefaultRecursionLimit checks it at the default.

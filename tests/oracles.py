@@ -6,7 +6,8 @@ shared bug cannot hide.  The structural checks and readers that only tests
 call (``validate_grammar``, ``same_structure``, ``occurrence_nodes``,
 ``canonical_text``) live here too, not in the package, and so does the
 per-occurrence digram rewrite (``replace_occurrence``) that the
-replacer's one-pass round is checked against.
+replacer's one-pass round is checked against, and the lazy tag table
+(``LazyTags``) that the tag writer's one-pass table is checked against.
 """
 
 import heapq
@@ -14,8 +15,8 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from treerepair import (PARAMETER, BinaryTree, ChildrenCharacteristic, DecodeError,
-                        Nonterminal, SlcfGrammar, Tree, decode, decompress_tree,
-                        serialize_xml)
+                        Nonterminal, SlcfGrammar, Tree, UnsupportedInputError, decode,
+                        decompress_tree, serialize_xml)
 from treerepair.digram_index import END, FREE
 
 
@@ -563,6 +564,27 @@ def run_length_decode_dense(reader, super_decoder, n, expected):
     if len(out) != expected:
         raise DecodeError("run-length data overruns its table")
     return out
+
+
+class LazyTags(dict):
+    """The tag writer's table built lazily: terminal -> (tag, pending),
+    made with ``%`` on a terminal's first use.  A terminal without a
+    children characteristic raises UnsupportedInputError when used."""
+
+    def __missing__(self, sym):
+        char = sym.characteristic
+        if char is None:
+            raise UnsupportedInputError(
+                "terminal %r has no children characteristic" % (sym,))
+        name = sym.name
+        if char & 0b10:
+            tag, pending = "<%s>" % name, ("</%s>" % name,)
+            if char & 0b01:
+                pending = (None, *pending)
+        else:
+            tag, pending = "<%s/>" % name, () if char & 0b01 else None
+        self[sym] = tags = (tag, pending)
+        return tags
 
 
 def _xml_rooted(g):

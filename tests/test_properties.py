@@ -31,7 +31,8 @@ from treerepair.succinct_coder import (
     huffman_code_lengths,
     run_length_encode,
 )
-from treerepair.succinct_decoder import run_length_decode
+from treerepair import succinct_decoder
+from treerepair.succinct_decoder import RUN_WINDOW_GROUPS, run_length_decode
 
 from conftest import BOOKS, random_xml, shape_to_xml
 from oracles import (
@@ -70,6 +71,14 @@ ALL_FLAGS = [(r, o, d) for r in (1, 2, 4, None) for o in ("edges", "filesize")
              for d in (True, False)]
 
 RELAXED = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def short_continuation_code(n, width):
+    """Super code lengths over n + 4 tokens whose run continuation n+1 has
+    a ``width``-bit code word, of zeros, while the other tokens share half
+    the code space: a complete code for width 1, an incomplete one for 2."""
+    others = huffman_code_lengths({s: 1 for s in range(n + 4) if s != n + 1})
+    return {**{s: l + 1 for s, l in others.items()}, n + 1: width}
 
 
 class TestDocumentModel:
@@ -237,17 +246,71 @@ class TestCodings:
         short = self._run_length_both_ways(data, n, min(cut, len(values)))
         assert short[0] == short[1]
 
-    @given(n=st.integers(4, 12), data=st.binary(max_size=40), expected=st.integers(0, 300))
+    @given(n=st.integers(4, 12), data=st.binary(max_size=40), expected=st.integers(0, 300),
+           width=st.sampled_from([None, 1, 2]))
+    @example(n=4, data=bytes(40), expected=300, width=1)
+    @example(n=4, data=b"\x01" + bytes(39), expected=300, width=2)
     @RELAXED
-    def test_sparse_run_length_decoding_matches_dense_on_any_bits(self, n, data, expected):
-        sparse, dense = self._run_length_both_ways(data, n, expected)
+    def test_sparse_run_length_decoding_matches_dense_on_any_bits(self, n, data, expected,
+                                                                 width):
+        """Random bits under a flat super code and under codes whose n+1
+        word is 1 or 2 bits long, where zero bytes are long stretches of
+        run continuations."""
+        lengths = None if width is None else short_continuation_code(n, width)
+        sparse, dense = self._run_length_both_ways(data, n, expected, lengths)
         assert sparse == dense
 
+    @pytest.mark.parametrize("window", [1, 3, RUN_WINDOW_GROUPS])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_continuation_stretches_read_as_tokens(self, width, window, monkeypatch):
+        """Explicit stretches; a window of fewer groups than a stretch
+        hands the rest of it to the next window."""
+        monkeypatch.setattr(succinct_decoder, "RUN_WINDOW_GROUPS", window)
+        n = 6
+        lengths = short_continuation_code(n, width)
+        codes = canonical_codes(lengths)
+
+        def stream(tokens):
+            return "".join(fixed_bits(tok[2], tok[1]) if isinstance(tok, tuple)
+                           else codes[tok] for tok in tokens)
+
+        def both_ways(bits, expected):
+            return self._run_length_both_ways(bits_to_bytes(bits), n, expected, lengths)
+
+        cont = [n + 1, ("bits", 2, 1)]
+        run = [5] + cont * 12 + [3, 2] + cont * 5
+        tokens = run + [n + 3, ("bits", 7, 2), 4]
+        total, ends = len(rle_expand(tokens, n)), len(rle_expand(run, n))
+        want = {i: v for i, v in enumerate(rle_expand(tokens, n)) if v}
+        bits = stream(tokens)
+        # a stretch that reaches the table's end exactly, and ones that
+        # overrun it by part of a continuation and by whole ones
+        sparse, dense = both_ways(stream(run), ends)
+        assert sparse == dense
+        assert sparse[0] == ("ok", {i: v for i, v in want.items() if i < ends})
+        for over in (1, 3, 6, 12):
+            sparse, dense = both_ways(stream(run), ends - over)
+            assert sparse == dense
+            assert sparse[0] == (DecodeError, "run-length data overruns its table")
+        assert both_ways(bits, total)[0][0] == ("ok", want)
+        # a stretch cut at every bit
+        for cut in range(len(bits) + 1):
+            sparse, dense = both_ways(bits[:cut], total)
+            assert sparse == dense, cut
+        # a continuation right after a zero run has no sample to repeat
+        for zeros in ([n + 2, ("bits", 3, 0)], [n + 3, ("bits", 7, 0)]):
+            bad = stream([5] + cont * 3 + zeros + cont * 3)
+            sparse, dense = both_ways(bad, total)
+            assert sparse == dense
+            assert sparse[0] == (DecodeError, "run continuation without a sample value")
+
     @staticmethod
-    def _run_length_both_ways(data, n, expected):
+    def _run_length_both_ways(data, n, expected, lengths=None):
         """(outcome, bits left) of the sparse and the dense decoder; the
-        outcome is the nonzero entries or the error's type and message."""
-        decoder = CanonicalDecoder(huffman_code_lengths({s: 1 for s in range(n + 4)}))
+        outcome is the nonzero entries or the error's type and message.
+        ``lengths`` is the super code, a flat one over n + 4 tokens by
+        default."""
+        decoder = CanonicalDecoder(lengths or huffman_code_lengths({s: 1 for s in range(n + 4)}))
         results = []
         for decode_table in (run_length_decode, run_length_decode_dense):
             reader = BitReader(data)

@@ -144,10 +144,12 @@ class TestRoundOracle:
     per-occurrence rewrite through the grammar's helpers does
     (``oracles.replace_occurrence``), round by round."""
 
+    # Below bucket limit 3 every record of two or more occurrences sits in
+    # the top list, so the limits are ones where buckets fill.
     @pytest.mark.parametrize("max_rank", [2, None])
-    @pytest.mark.parametrize("n_edges, limit", [(1, 1), (4, 2), (9, 3)])
+    @pytest.mark.parametrize("n_edges, limit", [(9, 3), (36, 6), (100, 10)])
     def test_round_equals_the_per_occurrence_rewrite(self, max_rank, n_edges, limit):
-        rounds = 0
+        rounds = filled = 0
         for seed in range(40):
             # At 300 nodes these documents share enough for rounds to meet
             # both shared and single-use DAG children.
@@ -167,7 +169,9 @@ class TestRoundOracle:
                 rewrite_both(sides, r)
                 assert index_state(g1, idx1) == index_state(g2, idx2), (seed, r)
                 rounds += 1
+                filled += any(idx1.buckets[:limit])
         assert rounds > 250
+        assert filled > rounds // 10
 
     def test_edges_into_v_drop_before_its_child_edges(self):
         # One rewrite drops the edge into v, of X = (q, 1, p), and v's

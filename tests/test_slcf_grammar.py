@@ -1,12 +1,16 @@
 """Grammar container: unfolding, ordering, elimination, bookkeeping."""
 
+import random
+
 import pytest
 
-from treerepair import parse_xml
-from treerepair.slcf_grammar import GrammarError, SlcfGrammar
+from treerepair import (BinaryTree, ChildrenCharacteristic, TerminalSymbol,
+                        UnsupportedInputError, parse_xml, serialize_xml)
+from treerepair.slcf_grammar import GrammarError, SlcfGrammar, _tag_table
 
 from conftest import BOOKS, make_grammar
-from oracles import canonical_text, postorder_nodes, same_structure, validate_grammar
+from oracles import (LazyTags, canonical_text, postorder_nodes, same_structure,
+                     validate_grammar)
 
 G4_TEXT = (
     "A_1 -> title^01(isbn^00)\n"
@@ -245,3 +249,46 @@ class TestAccounting:
         ])
         with pytest.raises(AssertionError):
             validate_grammar(g)
+
+
+class TestTagTable:
+    """The tag writer's table, built in one pass over the alphabet, is
+    the lazy per-terminal table (``oracles.LazyTags``) with every
+    terminal that has a children characteristic looked up."""
+
+    def test_equals_the_lazy_table(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            alphabet = []
+            for _ in range(rng.randint(1, 30)):
+                name = "".join(rng.choice("ab-é_xyz") for _ in range(rng.randint(1, 4)))
+                char = rng.choice([None, *ChildrenCharacteristic])
+                alphabet.append(TerminalSymbol(name, rank=rng.randint(0, 3)) if char is None
+                                else TerminalSymbol(name, char))
+            lazy, want = LazyTags(), {}
+            for sym in alphabet:
+                if sym.characteristic is None:
+                    with pytest.raises(UnsupportedInputError):
+                        lazy[sym]
+                else:
+                    want[sym] = lazy[sym]
+            assert _tag_table(alphabet) == want
+
+    def test_only_a_used_terminal_without_a_characteristic_stops_the_writer(self):
+        bare = TerminalSymbol("isbn", rank=0)
+        with pytest.raises(UnsupportedInputError) as lazy_error:
+            LazyTags()[bare]
+        g = SlcfGrammar.from_tree(parse_xml(BOOKS))
+        g.terminal_order.append(bare)
+        assert g.write_xml() == serialize_xml(g.unfold_value()) == BOOKS
+        isbn = next(v for v, label in enumerate(g.arena.labels) if label.name == "isbn")
+        g.arena.labels[isbn] = bare
+        for write in (g.write_xml, lambda: serialize_xml(g.unfold_value())):
+            with pytest.raises(UnsupportedInputError) as error:
+                write()
+            assert str(error.value) == str(lazy_error.value)
+
+    def test_a_used_terminal_outside_the_alphabet_is_reported(self):
+        bt = parse_xml(BOOKS)
+        with pytest.raises(UnsupportedInputError, match="not in the alphabet"):
+            serialize_xml(BinaryTree(bt.tree, bt.root, bt.terminal_order[1:]))

@@ -13,10 +13,10 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treerepair import (compress_tree, compress_xml_bytes, decode, decompress_bytes, encode,
-                        parse_xml, succinct_coder, xml_tree)
+                        parse_xml, succinct_coder, succinct_decoder, xml_tree)
 from treerepair.fixtures import gen_M, gen_U
 from treerepair.pipeline import build_grammar
 from treerepair.succinct_coder import (
@@ -167,11 +167,7 @@ class TestTableDecoder:
     @given(lengths=prefix_codes(), picks=st.lists(st.integers(0, 60), max_size=30),
            noise=st.lists(st.booleans(), max_size=40),
            cut=st.one_of(st.none(), st.integers(0, 10 ** 6)), skip=st.integers(0, 7))
-    # The explain phase re-runs a shrunk failure with parts of it varied
-    # to say which arguments matter; it adds seconds to a report of a
-    # failure and changes no outcome.
-    @settings(max_examples=150, deadline=None,
-              phases=[p for p in Phase if p is not Phase.explain])
+    @settings(max_examples=150, deadline=None)
     def test_matches_the_bitwise_walk(self, lengths, picks, noise, cut, skip):
         """Code words, then random bits, maybe cut at a random bit: both
         decoders read the same symbols and stop with the same error at the
@@ -251,8 +247,7 @@ class TestBlockRead:
            cut=st.one_of(st.none(), st.integers(0, 10 ** 6)), skip=st.integers(0, 7),
            balance=st.integers(0, 30), limit=st.sampled_from([300, 150, 10]),
            seed=st.integers(0, 2 ** 16))
-    @settings(max_examples=150, deadline=None,
-              phases=[p for p in Phase if p is not Phase.explain])
+    @settings(max_examples=150, deadline=None)
     def test_matches_a_loop_of_reads(self, lengths, picks, noise, cut, skip, balance,
                                      limit, seed):
         """The streams of test_matches_the_bitwise_walk; each symbol's delta
@@ -343,8 +338,7 @@ class TestRunRead:
            cut=st.one_of(st.none(), st.integers(0, 10 ** 6)), skip=st.integers(0, 7),
            names=st.integers(0, 12), limit=st.sampled_from([0xFF, 150]),
            wide=st.integers(1, 12), seed=st.one_of(st.none(), st.integers(0, 2 ** 16)))
-    @settings(max_examples=200, deadline=None,
-              phases=[p for p in Phase if p is not Phase.explain])
+    @settings(max_examples=200, deadline=None)
     @example(lengths=WIDEST_NAME_CODE, picks=[64, 64, 0, 64, 63, 1] * 3, noise=[], cut=None,
              skip=3, names=4, limit=0xFF, wide=12, seed=None)
     # ETX ends the last name inside a slot of four words: a ETX a a
@@ -696,14 +690,44 @@ class TestNameSectionProtocol:
 
 class TestCodeWordProtocol:
     """Call counts, not wall time: ``decode`` reads every run of code
-    words, the length tables' tokens included, with ``read_block``.  Only
-    the five lone counts (terminals, productions and the three
-    characteristic blocks) go through ``read``."""
+    words with ``read_block``, but for the continuations that follow a
+    length table's run continuation token, which it takes from one peeked
+    window.  Only the five lone counts (terminals, productions and the
+    three characteristic blocks) go through ``read``."""
 
     @pytest.mark.parametrize("tree, max_rank", [(gen_M(3), None), (gen_U(10), 4)])
     def test_decode_reads_five_lone_code_words(self, tree, max_rank):
         blob = compress_tree(tree, max_rank=max_rank)
         assert decode_calls(blob, succinct_coder, "read") == 5
+
+    def test_length_tables_read_continuations_a_stretch_at_a_time(self, monkeypatch):
+        # gen_M(3) has 256 leaf names of one code length, so its C2 and C3
+        # tables hold runs of 36 continuations or more
+        blob = compress_tree(gen_M(3), max_rank=None)
+        n = read_header(blob)[1] - 4
+        continuations = [run_length_encode(table, n).count(n + 1)
+                         for _, table in read_header(blob)[3]]
+        assert max(continuations) > 30
+        per_table, reading = [], []
+        read_block = CanonicalDecoder.read_block
+        run_length_decode = succinct_decoder.run_length_decode
+
+        def counting_read_block(*args, **kwargs):
+            if reading:
+                reading[0] += 1
+            return read_block(*args, **kwargs)
+
+        def counting_run_length_decode(*args):
+            reading.append(0)
+            try:
+                return run_length_decode(*args)
+            finally:
+                per_table.append(reading.pop())
+
+        monkeypatch.setattr(CanonicalDecoder, "read_block", counting_read_block)
+        monkeypatch.setattr(succinct_decoder, "run_length_decode", counting_run_length_decode)
+        decode(blob)
+        assert len(per_table) == 3 and max(per_table) <= 5
 
 
 class TestIdAssignment:
